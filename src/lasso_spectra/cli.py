@@ -22,9 +22,7 @@ from .graph import Problem, graph_from_json, validate
 from .oracle import richardson_eigs
 from .reconstruct import (
     compare,
-    convergence_table,
     hadamard_reconstruct,
-    leading_constant,
     result_to_csv,
 )
 from .spectrum import (

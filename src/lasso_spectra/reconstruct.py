@@ -14,6 +14,16 @@ Entries whose perturbed eigenvalue equals its grid point contribute exactly 1,
 so the zero of order mu0 at lambda = 0 (and every unmoved doubled lattice
 eigenvalue) is carried by d0 itself. Grid points within tolerance of a grid
 eigenvalue lambda0_nk are flagged and skipped: the factor is singular there.
+
+The factors beyond |n| = n_max are not dropped but estimated from the spectra
+alone. Along each family k the shift lambda_nk - lambda0_nk tends to a
+constant c_k, so the missing factors multiply to about exp(c_k * S_k(lambda))
+with S_k(lambda) = sum over |n| > n_max of 1 / (lambda0_nk - lambda). c_k is
+the mean shift over n_max/2 < |n| <= n_max, and S_k is the midpoint-rule
+integral of the sum (arctan for lambda < 0, log for lambda > 0). Without it
+the truncation error decays only like 1/n_max (c_k / (tau * n_max) per
+family); with it, like the next term of the shifts, about 1/n_max^3 on the
+fixtures. reconstruction_ratio stays the bare truncated product.
 """
 
 from __future__ import annotations
@@ -73,6 +83,51 @@ def _truncation_entries(catalog: SpectrumCatalog, frame: AsymptoticFrame, n_max:
     return picked
 
 
+def _tail_integral(u0: float, lam):
+    """The integral of 1 / (u^2 - lam) over u > u0, in closed form.
+
+    arctan for lam < 0 and artanh for 0 < lam < u0^2, both written as
+    (1/u0) * g(x) with x = sqrt(|lam|) / u0 and g(0) = 1; beyond u0^2 the
+    principal value keeps the result finite.
+    """
+    x = np.sqrt(np.abs(lam)) / u0
+    safe = np.where(x == 0.0, 1.0, x)
+    with np.errstate(divide="ignore"):
+        g = np.where(lam < 0.0, np.arctan(safe), 0.5 * np.log(np.abs((1.0 + safe) / (1.0 - safe))))
+    return np.where(x == 0.0, 1.0, g / safe) / u0
+
+
+def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
+    """Estimated log of the factors beyond |n| = n_max, sum_k c_k S_k(lam)
+    (see the module docstring). Each side of a two-sided family has its own
+    tail, which starts midway between its last kept and first dropped rho0."""
+    out = np.zeros_like(lam)
+    for fam in frame.families:
+        shifts = [
+            e.lam - e.rho0 * e.rho0 for e in entries if e.k == fam.index and 2 * abs(e.n) > n_max
+        ]
+        if not shifts:
+            continue
+        c = float(np.mean(shifts)) / frame.tau  # per unit of rho0 along the family
+        sides = (1, -1) if fam.n_values_truncation(n_max).start < 0 else (1,)
+        for side in sides:
+            u0 = 0.5 * (fam.rho0(side * n_max, frame.tau) + fam.rho0(side * (n_max + 1), frame.tau))
+            out += c * _tail_integral(u0, lam)
+    return out
+
+
+def _factor_product(entries, lam):
+    """The ratio factors of all entries moved off their grid point."""
+    out = np.ones_like(lam)
+    for e in entries:
+        lam0 = e.rho0 * e.rho0
+        if abs(e.lam - lam0) <= SNAP_ZERO:
+            continue  # unmoved eigenvalue: factor is exactly 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out *= (e.lam - lam) / (lam0 - lam)
+    return out
+
+
 def hadamard_reconstruct(
     catalog: SpectrumCatalog,
     grid,
@@ -84,17 +139,14 @@ def hadamard_reconstruct(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     entries = _truncation_entries(catalog, frame, n_max)
 
-    values = np.asarray(frame.eval_lambda(grid), dtype=float).copy()
     flagged = np.zeros(grid.shape, dtype=bool)
     for e in entries:
         lam0 = e.rho0 * e.rho0
         flagged |= np.abs(grid - lam0) < GRID_EIG_TOL
-    for e in entries:
-        if abs(e.lam - e.rho0 * e.rho0) <= SNAP_ZERO:
-            continue  # unmoved eigenvalue: factor is exactly 1
-        lam0 = e.rho0 * e.rho0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values *= (e.lam - grid) / (lam0 - grid)
+    d0 = np.asarray(frame.eval_lambda(grid), dtype=float)
+    tail = np.exp(_log_tail(entries, frame, n_max, grid))
+    with np.errstate(invalid="ignore"):  # 0 * inf at flagged points
+        values = d0 * _factor_product(entries, grid) * tail
     values[flagged] = np.nan
     return ReconstructionResult(
         grid=grid,
@@ -115,17 +167,12 @@ def reconstruction_ratio(
 
     Unlike evaluating the two functions separately, the ratio stays inside
     float range at deeply negative lambda, where each function alone grows
-    like exp(sqrt(|lambda|) * total length).
+    like exp(sqrt(|lambda|) * total length). It is the truncated product
+    alone, without hadamard_reconstruct's tail estimate.
     """
     frame = frame or catalog.frame
-    entries = _truncation_entries(catalog, frame, n_max)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.ones_like(lam_arr)
-    for e in entries:
-        lam0 = e.rho0 * e.rho0
-        if abs(e.lam - lam0) <= SNAP_ZERO:
-            continue
-        out *= (e.lam - lam_arr) / (lam0 - lam_arr)
+    out = _factor_product(_truncation_entries(catalog, frame, n_max), lam_arr)
     if np.ndim(lam) == 0:
         return float(out[0])
     return out

@@ -4,7 +4,8 @@ Eigenvalues are zeros of d(rho) = charfn(rho^2, problem), found by dense scan
 with sign-change bracketing plus tangential-zero detection. A zero of d at
 rho = 0 (even order 2m in rho) is the lambda = 0 eigenvalue of multiplicity m.
 Perturbations can push the lambda ~ 0 group below zero where no real rho
-exists, so a separate sweep locates negative eigenvalues directly in lambda.
+exists, so a second scan locates negative eigenvalues in kappa = sqrt(-lambda),
+with the same tangential detection and hence the same multiplicity count.
 
 Cataloging assigns every root (counted with multiplicity) to the nearest
 unperturbed grid point within half the minimal grid gap; the assignment must
@@ -18,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._rootscan import scan_roots
 from .charfn import charfn_for
 from .errors import AssignmentAmbiguity, ScanResolutionTooCoarse, UnresolvedMultiplicity
-from .graph import Problem, ValidatedGraph, validate
+from .graph import Problem, validate
 from .trigpoly import AsymptoticFrame, build_frame
 
 # |d(0)| below this fraction of the scan scale marks rho = 0 as a root.
@@ -31,6 +31,9 @@ ZERO_VALUE_TOL = 1e-9
 SCAN_POINTS_PER_PERIOD = 200
 # |rho - rho0| below the refiners' localization accuracy counts as exact.
 EPS_SNAP = 1e-9
+# Negative sweep roots with |lambda| below this belong to the lambda = 0
+# group, which the rho scan classifies.
+NEG_LAMBDA_MIN = 1e-12
 
 
 def _scan_step(frame: AsymptoticFrame) -> float:
@@ -85,33 +88,38 @@ def find_eigenvalues(graph, problem: Problem, rho_max: float, frame: AsymptoticF
     return out
 
 
-def negative_eigenvalues(graph, problem: Problem, lam_floor: float | None = None):
-    """Zeros of the characteristic function on [lam_floor, 0), ascending."""
+def negative_eigenvalues(
+    graph, problem: Problem, lam_floor: float | None = None, frame: AsymptoticFrame | None = None
+):
+    """Zeros of the characteristic function on [lam_floor, 0), ascending and
+    repeated by multiplicity.
+
+    The sweep runs the same scan as find_eigenvalues, in kappa = sqrt(-lambda)
+    with the same step, so a tangential (double) negative eigenvalue is found
+    and listed twice. The characteristic function grows like
+    exp(kappa * total length); damping by that factor keeps the scan's
+    scale-relative thresholds meaningful across the whole range.
+    """
     graph = validate(graph)
     problem.check(graph)
     if lam_floor is None:
         s = graph.max_abs_sigma
         lam_floor = -4.0 * (1.0 + 2.0 * s) ** 2
+    if frame is None:
+        frame = build_frame(graph, problem)
+    total_length = sum(graph.edge_length(j) for j in range(graph.p + 1))
 
-    def f(lam):
-        return charfn_for(graph, problem, lam)
+    def d(kappa):
+        return charfn_for(graph, problem, -(kappa**2)) * np.exp(-kappa * total_length)
 
-    # Uniform coverage of the well depth plus log refinement toward 0.
-    grid = np.concatenate(
-        [
-            np.linspace(lam_floor, lam_floor * 1e-3, 600),
-            -np.logspace(math.log10(-lam_floor * 1e-3), -12, 200),
-        ]
-    )
-    grid = np.sort(grid)
-    vals = f(grid)
-    roots = []
-    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            roots.append(float(brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)))
-    return roots
+    kappa_max = math.sqrt(-lam_floor)
+    n_points = int(math.ceil(kappa_max / _scan_step(frame)))
+    roots, _ = scan_roots(d, 0.0, kappa_max, n_points)
+    lams = []
+    for kappa, mult in roots:
+        if kappa * kappa > NEG_LAMBDA_MIN:
+            lams.extend([-kappa * kappa] * mult)
+    return sorted(lams)
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,9 @@ def catalog_spectrum(
     window = frame.window()
 
     items: list[tuple[float, float, int]] = []  # (rho_for_matching, lambda, root mult)
-    for lam in sorted(negatives):
-        items.append((0.0, float(lam), 1))
+    negatives = sorted(negatives)  # a double negative eigenvalue is listed twice
+    for lam in negatives:
+        items.append((0.0, float(lam), negatives.count(lam)))
     for rho, mult in eigs:
         if rho == 0.0:
             if mult % 2:
@@ -236,7 +245,7 @@ def compute_catalog(graph, problem: Problem, rho_max: float) -> SpectrumCatalog:
     graph = validate(graph)
     frame = build_frame(graph, problem)
     eigs = find_eigenvalues(graph, problem, rho_max + frame.window(), frame)
-    negs = negative_eigenvalues(graph, problem)
+    negs = negative_eigenvalues(graph, problem, frame=frame)
     return catalog_spectrum(graph, eigs, frame, rho_max, negs, problem.label())
 
 

@@ -19,6 +19,17 @@ def delta_lasso():
 
 
 @pytest.fixture(scope="session")
+def attractive_p3():
+    """p = 3 lasso, lengths pi, delta of strength -2 at each pendant midpoint.
+
+    Its symmetric pendant modes give a double negative eigenvalue (for L).
+    """
+    return lasso_graph(
+        1, [1, 1, 1], potentials=[None] + [delta_potential(1, "1/2", -2.0)] * 3, length_unit="pi"
+    )
+
+
+@pytest.fixture(scope="session")
 def unit_lasso_p1():
     """p = 1 lasso with unit lengths, zero potential."""
     return lasso_graph(1, [1])

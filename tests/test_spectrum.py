@@ -7,6 +7,7 @@ from lasso_spectra._rootscan import scan_roots
 from lasso_spectra.charfn import cycle_charfn
 from lasso_spectra.errors import AssignmentAmbiguity, ScanResolutionTooCoarse
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
+from lasso_spectra.oracle import richardson_eigs
 from lasso_spectra.spectrum import (
     catalog_spectrum,
     catalog_to_csv,
@@ -37,6 +38,37 @@ def test_cycle_tangential_zeros(pi_lasso):
     # The cycle factor alone has double zeros at rho |e_0| in 2 pi Z.
     roots, _ = scan_roots(lambda rho: cycle_charfn(pi_lasso, np.asarray(rho) ** 2), 0.5, 6.5, 1200)
     assert [(round(r, 9), m) for r, m in roots] == [(2.0, 2), (4.0, 2), (6.0, 2)]
+
+
+def test_close_root_pair_below_zero():
+    # Two roots 2e-3 apart inside one stencil of a function negative on the
+    # grid: the refined minimum changes sign, so both roots are reported.
+    roots, _ = scan_roots(lambda x: 1e-6 - (x - 1) ** 2, 0.005, 2.0, 150)
+    assert [m for _, m in roots] == [1, 1]
+    assert abs(roots[0][0] - 0.999) < 1e-12 and abs(roots[1][0] - 1.001) < 1e-12
+
+
+def test_negative_dip_without_root():
+    # The same dip that stops short of zero is no root at all.
+    roots, _ = scan_roots(lambda x: -((x - 1) ** 2) - 1e-6, 0.005, 2.0, 150)
+    assert roots == []
+
+
+def test_grid_hit_and_touch_merge():
+    # A crossing exactly on a grid point and a touch 3.4e-10 away (less than
+    # 1e-9 of the unit span) are one root that keeps the larger multiplicity.
+    xs = np.linspace(0.0, 1e-8, 101)
+    d, a, b, c = xs[10] + 0.3e-10, xs[30], xs[33] + 0.4e-10, xs[80] + 0.5e-10
+
+    def f(x):
+        return (x - d) * (x - a) * (x - b) ** 2 * (x - c)
+
+    assert f(a) == 0.0
+    roots, _ = scan_roots(f, 0.0, 1e-8, 100)
+    assert [m for _, m in roots] == [1, 2, 1]
+    assert [r for r, _ in roots] == sorted(r for r, _ in roots)
+    assert roots[1][0] == a
+    assert abs(roots[0][0] - d) < 1e-12 and abs(roots[2][0] - c) < 1e-12
 
 
 def test_delta_root_shift_continuous(pi_lasso):
@@ -83,6 +115,22 @@ def test_delta_catalog_has_negative_bottom_eigenvalue(delta_lasso):
     bottom = min(cat.entries, key=lambda e: e.lam)
     assert bottom.n == 0 and bottom.k == 0
     assert bottom.rho == 0.0 and bottom.eps == 0.0
+
+
+@pytest.mark.parametrize(
+    "problem", [Problem.neumann(), Problem.dirichlet(1)], ids=["L", "L1"]
+)
+def test_double_negative_eigenvalue(attractive_p3, problem):
+    # Strong symmetric attraction pulls two equal pendant modes below zero
+    # together: the negative sweep must count the touch twice.
+    cat = compute_catalog(attractive_p3, problem, 203.0)
+    assert len(cat.entries) == len(cat.frame.slots(203.0))
+    lowest = cat.lambdas()[:3]
+    ref = richardson_eigs(attractive_p3, problem, 3, 60)
+    assert np.max(np.abs(np.asarray(lowest) - ref)) <= 1e-3
+    if problem.kind == "neumann":
+        assert np.allclose(lowest, [-1.04280, -0.99238, -0.99238], atol=1e-5)
+        assert lowest[1] == lowest[2]
 
 
 def test_lattice_eigenvalues_survive_pendant_delta(delta_lasso):
