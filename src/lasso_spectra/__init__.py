@@ -6,11 +6,6 @@ from .charfn import (
     charfn,
     charfn_dirichlet,
     charfn_for,
-    cycle_charfn,
-    free_charfn,
-    free_charfn_dirichlet,
-    star_charfn,
-    star_charfn_dirichlet,
     weyl,
 )
 from .graph import (
@@ -44,7 +39,6 @@ from .reconstruct import (
     hadamard_reconstruct,
     leading_constant,
     reconstruction_ratio,
-    regularize_eigenvalue,
 )
 from .spectrum import (
     CatalogEntry,
@@ -64,7 +58,6 @@ from .trigpoly import (
     base_zeros,
     build_frame,
     expand_free_charfn,
-    expand_free_charfn_dirichlet,
     frame_to_json,
     smallest_period,
 )

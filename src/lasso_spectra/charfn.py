@@ -1,21 +1,27 @@
 """Characteristic functions of the lasso-graph boundary value problems.
 
-The full problem couples continuity at the internal vertex, a Kirchhoff
+The full problem L couples continuity at the internal vertex, a Kirchhoff
 balance of quasi-derivatives, and Neumann-type conditions y^{[1]}(0) = 0 at
-the pendant ends; the pinned problems replace the condition on one pendant
-end by y(0) = 0. Each characteristic function is assembled from endpoint
-fundamental-solution values: the cycle factor C_0 + S_0^{[1]} - 2, a star
-factor over the pendant edges, and products of pendant C values. Zeros (with
+the pendant ends. Its characteristic function is a polynomial in the endpoint
+values (C, C^{[1]}, S, S^{[1]}) of every edge:
+
+  (-1)^p [ S_0 sum_k u_k' prod_{i != k} u_i + (C_0 + S_0^{[1]} - 2) prod_k u_k ],
+
+where the pendant end pair (u_k, u_k') is (C_k, C_k^{[1]}). The pinned
+problem Lj replaces the end condition of pendant j by y(0) = 0, which swaps
+that pendant's pair for (S_j, S_j^{[1]}); nothing else changes. Zeros (with
 multiplicity) are the eigenvalues.
 
-Sign convention: a global (-1)^p on the star factors, matching the closed
-form of the zero-potential function, so that the ratio of perturbed to free
+Sign convention: the global (-1)^p matches the closed form of the
+zero-potential function, so that the ratio of perturbed to free
 characteristic function tends to 1 as lambda -> -infinity.
+
+`assemble` uses only +, * and integer constants, so the same formula runs on
+numpy values of perturbed edges and on exact trigonometric expressions of
+free edges (see trigpoly.expand_free_charfn).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import NearPole
 from .graph import Problem, ValidatedGraph, validate
@@ -30,141 +36,38 @@ def _solutions(graph: ValidatedGraph, lam) -> list[FundamentalSolution]:
     return [fundamental_solutions(e, lam, u) for e in graph.edges]
 
 
-def _sign(p: int) -> float:
-    return -1.0 if p % 2 else 1.0
+def assemble(fs, j: int):
+    """Characteristic function from per-edge values fs (fs[0] the cycle).
 
-
-def cycle_charfn(graph, lam):
-    """Characteristic function of the cycle alone: C_0 + S_0^{[1]} - 2."""
-    graph = validate(graph)
-    f0 = fundamental_solutions(graph.cycle, lam, graph.unit_value)
-    return f0.C + f0.S1 - 2.0
-
-
-def _star(fs: list[FundamentalSolution], p: int):
-    total = 0.0
-    for j in range(1, p + 1):
-        term = fs[j].C1
-        for i in range(1, p + 1):
-            if i != j:
-                term = term * fs[i].C
-        total = total + term
-    return _sign(p) * total
-
-
-def _star_dirichlet(fs: list[FundamentalSolution], p: int, k: int):
-    inner = 0.0
-    for j in range(1, p + 1):
-        if j == k:
-            continue
-        term = fs[j].C1
-        for i in range(1, p + 1):
-            if i != k and i != j:
-                term = term * fs[i].C
-        inner = inner + term
-    prod = 1.0
-    for j in range(1, p + 1):
-        if j != k:
-            prod = prod * fs[j].C
-    return _sign(p) * (fs[k].S * inner + fs[k].S1 * prod)
-
-
-def star_charfn(graph, lam):
-    """Characteristic function of the pendant star with Kirchhoff vertex."""
-    graph = validate(graph)
-    return _star(_solutions(graph, lam), graph.p)
-
-
-def star_charfn_dirichlet(graph, k: int, lam):
-    """Star characteristic function with the end of pendant k pinned."""
-    graph = validate(graph)
-    graph.check_pendant_index(k)
-    return _star_dirichlet(_solutions(graph, lam), graph.p, k)
+    j = 0 gives L; j >= 1 pins pendant j (Lj). The star sum is accumulated
+    with a running product, so the cost is O(p).
+    """
+    ends = [(f.S, f.S1) if k == j else (f.C, f.C1) for k, f in enumerate(fs) if k]
+    prod, star = ends[0]
+    for u, du in ends[1:]:
+        star = star * u + prod * du
+        prod = prod * u
+    cyc = fs[0].C + fs[0].S1 + -2
+    return (-1) ** len(ends) * (fs[0].S * star + cyc * prod)
 
 
 def charfn(graph, lam):
     """Characteristic function of the full problem (Neumann pendant ends)."""
     graph = validate(graph)
-    fs = _solutions(graph, lam)
-    p = graph.p
-    cyc = fs[0].C + fs[0].S1 - 2.0
-    prod_c = 1.0
-    for k in range(1, p + 1):
-        prod_c = prod_c * fs[k].C
-    return fs[0].S * _star(fs, p) + _sign(p) * cyc * prod_c
+    return assemble(_solutions(graph, lam), 0)
 
 
 def charfn_dirichlet(graph, j: int, lam):
     """Characteristic function with pendant j pinned (Dirichlet at its end)."""
     graph = validate(graph)
     graph.check_pendant_index(j)
-    fs = _solutions(graph, lam)
-    p = graph.p
-    cyc = fs[0].C + fs[0].S1 - 2.0
-    prod_c = 1.0
-    for k in range(1, p + 1):
-        if k != j:
-            prod_c = prod_c * fs[k].C
-    return fs[0].S * _star_dirichlet(fs, p, j) + _sign(p) * cyc * fs[j].S * prod_c
+    return assemble(_solutions(graph, lam), j)
 
 
 def charfn_for(graph, problem: Problem, lam):
     graph = validate(graph)
     problem.check(graph)
-    if problem.kind == "neumann":
-        return charfn(graph, lam)
-    return charfn_dirichlet(graph, problem.j, lam)
-
-
-def _sinl(rho, length: float):
-    """sin(rho * length) / rho, finite at rho = 0."""
-    return length * np.sinc(np.asarray(rho) * length / np.pi)
-
-
-def free_charfn(graph, rho):
-    """Zero-potential characteristic function as an explicit trig expression."""
-    graph = validate(graph)
-    p = graph.p
-    rho = np.asarray(rho, dtype=float)
-    ls = [graph.edge_length(j) for j in range(p + 1)]
-    cos_k = [np.cos(rho * ls[k]) for k in range(1, p + 1)]
-    prod_c = np.prod(cos_k, axis=0)
-    total = 0.0
-    for j in range(1, p + 1):
-        term = np.sin(rho * ls[j])
-        for i in range(1, p + 1):
-            if i != j:
-                term = term * cos_k[i - 1]
-        total = total + term
-    out = _sign(p) * (2.0 * (np.cos(rho * ls[0]) - 1.0) * prod_c - np.sin(rho * ls[0]) * total)
-    return float(out) if out.ndim == 0 else out
-
-
-def free_charfn_dirichlet(graph, j: int, rho):
-    """Zero-potential characteristic function of the pinned problem."""
-    graph = validate(graph)
-    graph.check_pendant_index(j)
-    p = graph.p
-    rho = np.asarray(rho, dtype=float)
-    ls = [graph.edge_length(k) for k in range(p + 1)]
-    cyc = 2.0 * (np.cos(rho * ls[0]) - 1.0)
-    s0 = _sinl(rho, ls[0])
-    prod_c = 1.0
-    for k in range(1, p + 1):
-        if k != j:
-            prod_c = prod_c * np.cos(rho * ls[k])
-    inner = 0.0
-    for k in range(1, p + 1):
-        if k == j:
-            continue
-        term = -rho * np.sin(rho * ls[k])
-        for i in range(1, p + 1):
-            if i != k and i != j:
-                term = term * np.cos(rho * ls[i])
-        inner = inner + term
-    star_d = _sign(p) * (_sinl(rho, ls[j]) * inner + np.cos(rho * ls[j]) * prod_c)
-    out = s0 * star_d + _sign(p) * cyc * _sinl(rho, ls[j]) * prod_c
-    return float(out) if out.ndim == 0 else out
+    return assemble(_solutions(graph, lam), problem.j)
 
 
 def weyl(graph, j: int, lam: float) -> float:

@@ -9,15 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .charfn import charfn_for, free_charfn
+from .charfn import charfn_for
 from .graph import Problem, graph_from_json, validate
 from .oracle import richardson_eigs
 from .reconstruct import (
@@ -71,26 +69,6 @@ def parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("LASSO_SPECTRA_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return max(1, cap) if cap else min(4, os.cpu_count() or 1)
-
-
-def chunked_eval(fn, grid: np.ndarray) -> np.ndarray:
-    """Order-preserving parallel map over grid chunks (capped by env var)."""
-    workers = thread_cap()
-    if workers == 1 or grid.size < 256:
-        return np.asarray(fn(grid), dtype=float)
-    chunks = np.array_split(grid, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: np.asarray(fn(c), dtype=float), chunks))
-    return np.concatenate(parts)
-
-
 def _problem_from_args(args, graph) -> Problem:
     if args.problem == "L":
         return Problem.neumann()
@@ -115,11 +93,11 @@ def cmd_charfn(args) -> int:
         raise ValueError("exactly one of --rho or --lambda is required")
     if args.rho is not None:
         grid = parse_grid(args.rho)
-        values = chunked_eval(lambda r: charfn_for(graph, problem, r * r), grid)
+        values = charfn_for(graph, problem, grid * grid)
         label = "rho"
     else:
         grid = parse_grid(args.lam)
-        values = chunked_eval(lambda lam: charfn_for(graph, problem, lam), grid)
+        values = charfn_for(graph, problem, grid)
         label = "lambda"
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("characteristic function overflowed on the grid")
@@ -210,16 +188,15 @@ def _verify_checks(graph, rho_max: float, n_max: int):
             worst = max(worst, abs(f.wronskian() - 1.0))
     record("wronskian", worst <= 1e-10, {"max_deviation": worst})
 
-    # Free closed form against the assembled function on the zero-potential twin.
-    free_twin = graph.with_zero_potential()
+    # Exact free expansion against the propagated zero-potential twin.
+    frame = build_frame(graph, problem)
     rho = rng.uniform(0.0, 50.0, size=200)
-    direct = charfn_for(free_twin, problem, rho * rho)
-    closed = free_charfn(graph, rho)
+    direct = charfn_for(graph.with_zero_potential(), problem, rho * rho)
+    closed = frame.eval_rho(rho)
     scale = np.max(np.abs(closed)) or 1.0
     dev = float(np.max(np.abs(direct - closed)) / scale)
     record("free_closed_form", dev <= 1e-12, {"max_relative_deviation": dev})
 
-    frame = build_frame(graph, problem)
     rho_probe = rng.uniform(0.0, 10.0 * frame.tau, size=500)
     per = float(np.max(np.abs(frame.poly(rho_probe + frame.tau) - frame.poly(rho_probe))))
     record("periodicity", per <= 1e-9 * frame.poly.deriv_scale(0), {"max_deviation": per})

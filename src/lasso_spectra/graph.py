@@ -212,6 +212,8 @@ class Problem:
     def check(self, graph: ValidatedGraph) -> None:
         if self.kind == "dirichlet":
             graph.check_pendant_index(self.j)
+        elif self.j != 0:  # j is the pinned pendant; L pins none
+            raise BadIndex(f"problem L pins no pendant, got j = {self.j}")
 
     def label(self) -> str:
         return "L" if self.kind == "neumann" else f"L{self.j}"

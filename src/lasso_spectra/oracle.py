@@ -134,11 +134,3 @@ def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float)
     coarse = oracle_eigs(discretize(graph, problem, points_per_unit), count)
     fine = oracle_eigs(discretize(graph, problem, 2 * points_per_unit), count)
     return (4.0 * fine - coarse) / 3.0
-
-
-def eigs_to_csv(values) -> str:
-    lines = ["lambda,rho"]
-    for lam in values:
-        rho = math.sqrt(lam) if lam > 0 else 0.0
-        lines.append(f"{float(lam)!r},{rho!r}")
-    return "\n".join(lines) + "\n"

@@ -76,9 +76,6 @@ class StateMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
     @staticmethod
     def identity() -> "StateMatrix":
         return StateMatrix(1.0, 0.0, 0.0, 1.0)

@@ -42,11 +42,6 @@ SNAP_ZERO = 1e-12
 GRID_EIG_TOL = 1e-10
 
 
-def regularize_eigenvalue(lam: float) -> float:
-    """lambda itself, or 1 for the (snapped) zero eigenvalue."""
-    return 1.0 if abs(lam) < SNAP_ZERO else float(lam)
-
-
 def leading_constant(frame: AsymptoticFrame) -> float:
     """(-1)^mu0 times the mu0-th lambda-derivative of d0 at 0 (nonzero by mu0)."""
     val = frame.lambda_deriv_at_zero(frame.mu0)

@@ -5,8 +5,10 @@ For the full problem the zero-potential function d_0(rho) is an even cosine
 polynomial sum c_m cos(f_m rho). For a pinned problem it is sum c_m
 sin(f_m rho) / rho, so the periodic object carrying its zero structure is the
 odd polynomial rho * d_0(rho). Frequencies are integer combinations of the
-(rational) edge lengths, kept as exact Fractions; the product-to-sum expansion
-is done in exact rational arithmetic, so cancellations are exact.
+(rational) edge lengths, kept as exact Fractions. The expansion runs the
+characteristic-function formula of `charfn.assemble` on free edge values held
+as exact trig expressions in rho; the product-to-sum arithmetic is exact
+rational, so cancellations are exact.
 
 The frame records the smallest period tau, the zeros of the periodic
 polynomial on [0, tau/2] with multiplicities, and the multiplicity mu0 of the
@@ -32,9 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._rootscan import scan_roots
+from .charfn import assemble
 from .errors import ConstantFunction, HalfPeriodZeroWarning, UnresolvedMultiplicity
 from .graph import Problem, ValidatedGraph, validate
-from .propagate import phi_pair
+from .propagate import FundamentalSolution, phi_pair
 
 # Spec'd multiplicity tolerance: |p^(m)(alpha)| > DERIV_TOL * scale_m.
 DERIV_TOL = 1e-7
@@ -100,130 +103,103 @@ def smallest_period(poly: TrigPoly) -> float:
 
 
 class _TrigExpr:
-    """Exact-rational work form: {("cos"|"sin", freq): Fraction coefficient}."""
+    """Exact-rational work form: {(kind, freq, power): Fraction coefficient}.
+
+    A term is coef * rho**power * trig(freq * unit * rho), trig = cos or sin.
+    Integers stand for constants, so the expression supports the +, * and
+    integer constants that `charfn.assemble` uses.
+    """
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[str, Fraction], Fraction] = dict(terms or {})
+        self.terms: dict[tuple[str, Fraction, int], Fraction] = dict(terms or {})
 
-    @staticmethod
-    def const(c) -> "_TrigExpr":
-        return _TrigExpr({("cos", Fraction(0)): Fraction(c)})
-
-    @staticmethod
-    def cos(freq: Fraction) -> "_TrigExpr":
-        return _TrigExpr({("cos", Fraction(freq)): Fraction(1)})
-
-    @staticmethod
-    def sin(freq: Fraction) -> "_TrigExpr":
-        e = _TrigExpr()
-        e._add("sin", Fraction(freq), Fraction(1))
-        return e
-
-    def _add(self, kind: str, freq: Fraction, coef: Fraction):
+    def _add(self, kind: str, freq: Fraction, power: int, coef: Fraction):
         if freq < 0:
             freq = -freq
             if kind == "sin":
                 coef = -coef
         if kind == "sin" and freq == 0:
             return
-        key = (kind, freq)
+        key = (kind, freq, power)
         new = self.terms.get(key, Fraction(0)) + coef
         if new == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
 
-    def __add__(self, other: "_TrigExpr") -> "_TrigExpr":
-        out = _TrigExpr(self.terms)
-        for (kind, freq), coef in other.terms.items():
-            out._add(kind, freq, coef)
-        return out
-
-    def __sub__(self, other: "_TrigExpr") -> "_TrigExpr":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "_TrigExpr":
-        c = Fraction(c)
-        if c == 0:
-            return _TrigExpr()
-        return _TrigExpr({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "_TrigExpr") -> "_TrigExpr":
+    @staticmethod
+    def _of(x) -> "_TrigExpr":
+        if isinstance(x, _TrigExpr):
+            return x
         out = _TrigExpr()
-        half = Fraction(1, 2)
-        for (k1, f1), c1 in self.terms.items():
-            for (k2, f2), c2 in other.terms.items():
-                c = c1 * c2 * half
-                if k1 == "cos" and k2 == "cos":
-                    out._add("cos", f1 - f2, c)
-                    out._add("cos", f1 + f2, c)
-                elif k1 == "sin" and k2 == "sin":
-                    out._add("cos", f1 - f2, c)
-                    out._add("cos", f1 + f2, -c)
-                elif k1 == "sin" and k2 == "cos":
-                    out._add("sin", f1 + f2, c)
-                    out._add("sin", f1 - f2, c)
-                else:  # cos * sin
-                    out._add("sin", f1 + f2, c)
-                    out._add("sin", f2 - f1, c)
+        out._add("cos", Fraction(0), 0, Fraction(x))
         return out
 
-    def to_poly(self, kind: str, unit: float) -> TrigPoly:
-        bad = [k for k in self.terms if k[0] != kind]
-        assert not bad, f"mixed parity: unexpected {bad}"
+    def __add__(self, other) -> "_TrigExpr":
+        out = _TrigExpr(self.terms)
+        for (kind, freq, power), coef in self._of(other).terms.items():
+            out._add(kind, freq, power, coef)
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_TrigExpr":
+        out = _TrigExpr()
+        other = self._of(other)
+        half = Fraction(1, 2)
+        for (k1, f1, n1), c1 in self.terms.items():
+            for (k2, f2, n2), c2 in other.terms.items():
+                c, n = c1 * c2 * half, n1 + n2
+                if k1 == "cos" and k2 == "cos":
+                    out._add("cos", f1 - f2, n, c)
+                    out._add("cos", f1 + f2, n, c)
+                elif k1 == "sin" and k2 == "sin":
+                    out._add("cos", f1 - f2, n, c)
+                    out._add("cos", f1 + f2, n, -c)
+                elif k1 == "sin" and k2 == "cos":
+                    out._add("sin", f1 + f2, n, c)
+                    out._add("sin", f1 - f2, n, c)
+                else:  # cos * sin
+                    out._add("sin", f1 + f2, n, c)
+                    out._add("sin", f2 - f1, n, c)
+        return out
+
+    __rmul__ = __mul__
+
+    def to_poly(self, kind: str, power: int, unit: float) -> TrigPoly:
+        bad = [k for k in self.terms if k[0] != kind or k[2] != power]
+        assert not bad, f"unexpected terms {bad} beside {kind} * rho**{power}"
         items = sorted(self.terms.items(), key=lambda kv: kv[0][1])
-        freqs = tuple(f for (_, f), _ in items)
+        freqs = tuple(f for (_, f, _), _ in items)
         coefs = tuple(float(c) for _, c in items)
         return TrigPoly(kind, freqs, coefs, unit)
 
 
-def _sign_expr(p: int) -> Fraction:
-    return Fraction(-1 if p % 2 else 1)
+def _free_edge(length: Fraction) -> FundamentalSolution:
+    """Zero-potential endpoint values: C = cos, C1 = -rho sin, S = sin/rho, S1 = cos."""
+    one = Fraction(1)
+    return FundamentalSolution(
+        C=_TrigExpr({("cos", length, 0): one}),
+        C1=_TrigExpr({("sin", length, 1): -one}),
+        S=_TrigExpr({("sin", length, -1): one}),
+        S1=_TrigExpr({("cos", length, 0): one}),
+    )
 
 
-def expand_free_charfn(graph) -> TrigPoly:
-    """Cosine expansion of the zero-potential characteristic function."""
+def expand_free_charfn(graph, problem: Problem = Problem.neumann()) -> TrigPoly:
+    """Exact expansion of the zero-potential characteristic function.
+
+    The formula of `charfn.assemble` runs on free edge values held as exact
+    trig expressions in rho. For L the result is the cosine polynomial d_0;
+    for Lj every term carries 1/rho, and the sine polynomial rho * d_0 is
+    returned.
+    """
     graph = validate(graph)
-    p = graph.p
-    ls = [e.length for e in graph.edges]
-    prod_c = _TrigExpr.const(1)
-    for k in range(1, p + 1):
-        prod_c = prod_c * _TrigExpr.cos(ls[k])
-    total = _TrigExpr()
-    for j in range(1, p + 1):
-        term = _TrigExpr.sin(ls[j])
-        for i in range(1, p + 1):
-            if i != j:
-                term = term * _TrigExpr.cos(ls[i])
-        total = total + term
-    cyc = _TrigExpr.cos(ls[0]) - _TrigExpr.const(1)
-    expr = (cyc.scale(2) * prod_c - _TrigExpr.sin(ls[0]) * total).scale(_sign_expr(p))
-    return expr.to_poly("cos", graph.unit_value)
-
-
-def expand_free_charfn_dirichlet(graph, j: int) -> TrigPoly:
-    """Sine expansion of rho times the zero-potential pinned function."""
-    graph = validate(graph)
-    graph.check_pendant_index(j)
-    p = graph.p
-    ls = [e.length for e in graph.edges]
-    prod_c = _TrigExpr.const(1)
-    for k in range(1, p + 1):
-        if k != j:
-            prod_c = prod_c * _TrigExpr.cos(ls[k])
-    inner = _TrigExpr()
-    for k in range(1, p + 1):
-        if k == j:
-            continue
-        term = _TrigExpr.sin(ls[k])
-        for i in range(1, p + 1):
-            if i != k and i != j:
-                term = term * _TrigExpr.cos(ls[i])
-        inner = inner + term
-    star_d = (_TrigExpr.cos(ls[j]) * prod_c - _TrigExpr.sin(ls[j]) * inner).scale(_sign_expr(p))
-    cyc = (_TrigExpr.cos(ls[0]) - _TrigExpr.const(1)).scale(2)
-    expr = _TrigExpr.sin(ls[0]) * star_d + (cyc * _TrigExpr.sin(ls[j]) * prod_c).scale(_sign_expr(p))
-    return expr.to_poly("sin", graph.unit_value)
+    problem.check(graph)
+    expr = assemble([_free_edge(e.length) for e in graph.edges], problem.j)
+    if problem.kind == "neumann":
+        return expr.to_poly("cos", 0, graph.unit_value)
+    return expr.to_poly("sin", -1, graph.unit_value)
 
 
 def _multiplicity_at(poly: TrigPoly, x: float) -> int:
@@ -384,14 +360,17 @@ class AsymptoticFrame:
         return total * math.factorial(r)
 
 
-def base_zeros(poly: TrigPoly, tau: float, flavor: str = "cos") -> AsymptoticFrame:
+def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
     """Locate the zeros of the periodic polynomial on [0, tau/2] and build the frame.
 
     Interior zeros are found by dense scan plus bracketing and classified by
     the analytic derivatives of the polynomial; the endpoint multiplicities
-    fix mu0 and the tau/2 family. For the cosine flavor a tau/2 zero is the
-    case the theory excludes: it is reported as a warning and folded.
+    fix mu0 and the tau/2 family. A cosine polynomial (d_0 of L) has the
+    cosine flavor, a sine polynomial (rho * d_0 of Lj) the sinc flavor. For
+    the cosine flavor a tau/2 zero is the case the theory excludes: it is
+    reported as a warning and folded.
     """
+    flavor = "cos" if poly.kind == "cos" else "sinc"
     half = tau / 2.0
     n_points = max(1024, int(64 * poly.max_freq() * tau / (2 * math.pi)))
     roots, _ = scan_roots(poly, 0.0, half, n_points)
@@ -438,15 +417,8 @@ def base_zeros(poly: TrigPoly, tau: float, flavor: str = "cos") -> AsymptoticFra
 
 def build_frame(graph: ValidatedGraph, problem: Problem) -> AsymptoticFrame:
     """Frame of the zero-potential problem with the same geometry."""
-    graph = validate(graph)
-    problem.check(graph)
-    if problem.kind == "neumann":
-        poly = expand_free_charfn(graph)
-        flavor = "cos"
-    else:
-        poly = expand_free_charfn_dirichlet(graph, problem.j)
-        flavor = "sinc"
-    return base_zeros(poly, smallest_period(poly), flavor)
+    poly = expand_free_charfn(graph, problem)
+    return base_zeros(poly, smallest_period(poly))
 
 
 def frame_to_json(frame: AsymptoticFrame) -> dict:

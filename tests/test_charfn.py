@@ -2,36 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from free_reference import free_charfn, free_charfn_dirichlet
 
-from lasso_spectra.charfn import (
-    charfn,
-    charfn_dirichlet,
-    charfn_for,
-    cycle_charfn,
-    free_charfn,
-    free_charfn_dirichlet,
-    star_charfn,
-    star_charfn_dirichlet,
-    weyl,
-)
+from lasso_spectra.charfn import charfn, charfn_dirichlet, charfn_for, weyl
 from lasso_spectra.errors import BadIndex, NearPole
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
+from lasso_spectra.propagate import fundamental_solutions
 
 
 def test_cycle_charfn_free(unit_lasso_p1):
-    assert abs(cycle_charfn(unit_lasso_p1, (2 * math.pi) ** 2)) < 1e-12
-    assert cycle_charfn(unit_lasso_p1, 0.0) == 0.0
-    assert abs(cycle_charfn(unit_lasso_p1, math.pi**2) + 4.0) < 1e-12
+    def cycle(lam):
+        f0 = fundamental_solutions(unit_lasso_p1.cycle, lam, unit_lasso_p1.unit_value)
+        return f0.C + f0.S1 - 2.0
 
-
-def test_star_charfn_closed_forms(unit_lasso_p1):
-    g2 = lasso_graph(1, [1, 1])
-    rho = 1.234
-    # p = 2: sum of two C' C terms collapses to -rho sin(2 rho).
-    assert abs(star_charfn(g2, rho**2) - (-rho * math.sin(2 * rho))) < 1e-12
-    # p = 1: single term rho sin(rho).
-    assert abs(star_charfn(unit_lasso_p1, rho**2) - rho * math.sin(rho)) < 1e-12
-    assert star_charfn(g2, 0.0) == 0.0
+    assert abs(cycle((2 * math.pi) ** 2)) < 1e-12
+    assert cycle(0.0) == 0.0
+    assert abs(cycle(math.pi**2) + 4.0) < 1e-12
 
 
 def test_charfn_p2_frozen_value():
@@ -68,16 +54,9 @@ def test_charfn_dirichlet_nonzero_at_lambda_zero(unit_lasso_p1):
 
 def test_assembly_identity_for_dirichlet():
     g = lasso_graph(1, [1, 1, 2], potentials=None)
-    from lasso_spectra.propagate import fundamental_solutions
-
     lam = 3.7
-    fs = [fundamental_solutions(e, lam) for e in g.edges]
-    cyc = fs[0].C + fs[0].S1 - 2.0
-    j = 2
-    prod = math.prod(fs[k].C for k in range(1, 4) if k != j)
-    star_d = star_charfn_dirichlet(g, j, lam)
-    want = fs[0].S * star_d + (-1.0) ** 3 * cyc * fs[j].S * prod
-    assert abs(charfn_dirichlet(g, j, lam) - want) < 1e-13
+    want = free_charfn_dirichlet(g, 2, math.sqrt(lam))
+    assert abs(charfn_dirichlet(g, 2, lam) - want) < 1e-13
 
 
 def test_bad_index():
@@ -85,7 +64,9 @@ def test_bad_index():
     with pytest.raises(BadIndex):
         charfn_dirichlet(g, 3, 1.0)
     with pytest.raises(BadIndex):
-        star_charfn_dirichlet(g, 0, 1.0)
+        charfn_dirichlet(g, 0, 1.0)
+    with pytest.raises(BadIndex):
+        charfn_for(g, Problem("neumann", 1), 1.0)
     with pytest.raises(BadIndex):
         weyl(g, -1, 1.0)
 

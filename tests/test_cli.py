@@ -173,11 +173,3 @@ def test_verify_corrupted_fixture_exits_2(capsys, tmp_path):
     bad.write_text(json.dumps(blob))
     code, _, _ = run(capsys, "verify", "--config", str(bad))
     assert code == 2
-
-
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("LASSO_SPECTRA_THREADS", "1")
-    code, out1, _ = run(capsys, "charfn", "--config", FREE, "--problem", "L", "--rho", "0:6:0.005")
-    monkeypatch.setenv("LASSO_SPECTRA_THREADS", "3")
-    code, out2, _ = run(capsys, "charfn", "--config", FREE, "--problem", "L", "--rho", "0:6:0.005")
-    assert out1 == out2

@@ -7,7 +7,6 @@ from lasso_spectra.graph import Problem, delta_potential, lasso_graph
 from lasso_spectra.oracle import (
     DiscreteOperator,
     discretize,
-    eigs_to_csv,
     oracle_eigs,
     richardson_eigs,
 )
@@ -91,10 +90,3 @@ def test_pinned_oracle_with_negative_eigenvalue(delta_lasso):
     assert extrapolated[0] < 0.0
     rel = np.abs(np.asarray(lams) - extrapolated) / np.maximum(1.0, np.abs(extrapolated))
     assert np.max(rel) <= 1e-3
-
-
-def test_eigs_csv_format():
-    text = eigs_to_csv([1.0, 4.0])
-    lines = text.strip().splitlines()
-    assert lines[0] == "lambda,rho"
-    assert lines[1] == "1.0,1.0"

@@ -102,7 +102,8 @@ def test_step_matrix_against_rk_oracle(sigma, h, lam):
 
 def test_step_matrix_determinant_one():
     for sigma, h, lam in [(0.3, 0.5, 11.0), (5.0, 1.2, -2.0), (-1.0, 2.0, 0.0)]:
-        assert abs(step_matrix(sigma, h, lam).det() - 1.0) < 1e-12
+        m = step_matrix(sigma, h, lam)
+        assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
 
 
 def test_fundamental_free_edge_closed_form():

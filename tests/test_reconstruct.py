@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from free_reference import free_charfn_dirichlet
 
 from lasso_spectra.charfn import charfn, charfn_dirichlet, charfn_for
 from lasso_spectra.errors import DegenerateLeadingTerm, InsufficientCatalog, NearPole
@@ -12,7 +13,6 @@ from lasso_spectra.reconstruct import (
     convergence_table,
     hadamard_reconstruct,
     leading_constant,
-    regularize_eigenvalue,
     result_to_csv,
 )
 from lasso_spectra.spectrum import compute_catalog
@@ -26,13 +26,6 @@ def off_eigenvalue_grid(catalog, lo=-5.0, hi=9.0, count=200, margin=1e-2):
     return grid[keep]
 
 
-def test_regularize_eigenvalue():
-    assert regularize_eigenvalue(0.0) == 1.0
-    assert regularize_eigenvalue(4.0) == 4.0
-    assert regularize_eigenvalue(1e-14) == 1.0  # snapped to the zero eigenvalue
-    assert regularize_eigenvalue(-0.5) == -0.5
-
-
 def test_leading_constant_pi_lasso(pi_lasso):
     frame = build_frame(pi_lasso, Problem.neumann())
     assert abs(leading_constant(frame) - 3 * math.pi**2) < 1e-10
@@ -41,8 +34,6 @@ def test_leading_constant_pi_lasso(pi_lasso):
 def test_leading_constant_mu0_zero(pi_lasso):
     # Pinned problem: mu0 = 0, so the constant is just d0(0).
     frame = build_frame(pi_lasso, Problem.dirichlet(1))
-    from lasso_spectra.charfn import free_charfn_dirichlet
-
     assert abs(leading_constant(frame) - free_charfn_dirichlet(pi_lasso, 1, 0.0)) < 1e-12
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from lasso_spectra._rootscan import scan_roots
-from lasso_spectra.charfn import cycle_charfn
 from lasso_spectra.errors import AssignmentAmbiguity, ScanResolutionTooCoarse
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
 from lasso_spectra.oracle import richardson_eigs
+from lasso_spectra.propagate import fundamental_solutions
 from lasso_spectra.spectrum import (
     catalog_spectrum,
     catalog_to_csv,
@@ -36,7 +36,11 @@ def test_find_eigenvalues_empty_range(pi_lasso):
 
 def test_cycle_tangential_zeros(pi_lasso):
     # The cycle factor alone has double zeros at rho |e_0| in 2 pi Z.
-    roots, _ = scan_roots(lambda rho: cycle_charfn(pi_lasso, np.asarray(rho) ** 2), 0.5, 6.5, 1200)
+    def cycle(rho):
+        f0 = fundamental_solutions(pi_lasso.cycle, np.asarray(rho) ** 2, pi_lasso.unit_value)
+        return f0.C + f0.S1 - 2.0
+
+    roots, _ = scan_roots(cycle, 0.5, 6.5, 1200)
     assert [(round(r, 9), m) for r, m in roots] == [(2.0, 2), (4.0, 2), (6.0, 2)]
 
 

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from free_reference import free_charfn, free_charfn_dirichlet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lasso_spectra.charfn import free_charfn, free_charfn_dirichlet
+from lasso_spectra.charfn import charfn_for
 from lasso_spectra.errors import ConstantFunction, HalfPeriodZeroWarning
 from lasso_spectra.graph import Problem, common_measure, lasso_graph
 from lasso_spectra.trigpoly import (
     TrigPoly,
     build_frame,
     expand_free_charfn,
-    expand_free_charfn_dirichlet,
     frame_to_json,
     smallest_period,
 )
@@ -26,6 +28,33 @@ def test_expansion_p1_unit_lengths(unit_lasso_p1):
         (Fraction(1), 2.0),
         (Fraction(2), -1.5),
     ]
+
+
+LENGTHS = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cycle=LENGTHS,
+    pendants=st.lists(LENGTHS, min_size=1, max_size=4),
+    unit=st.sampled_from(["1", "pi"]),
+)
+def test_one_formula_in_two_rings(cycle, pendants, unit):
+    # charfn.assemble on exact trig expressions (the expansion) and on
+    # propagated zero-potential values, against the hand-written closed forms.
+    g = lasso_graph(cycle, pendants, length_unit=unit)
+    rho = np.linspace(0.05, 30.0, 400)
+    for j in range(g.p + 1):
+        if j == 0:
+            problem, ref = Problem.neumann(), free_charfn(g, rho)
+            exact = expand_free_charfn(g, problem)(rho)
+        else:
+            problem, ref = Problem.dirichlet(j), free_charfn_dirichlet(g, j, rho)
+            exact = expand_free_charfn(g, problem)(rho) / rho
+        propagated = charfn_for(g, problem, rho**2)
+        bound = 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(exact - ref)) <= bound, problem.label()
+        assert np.max(np.abs(propagated - ref)) <= bound, problem.label()
 
 
 def test_expansion_matches_closed_form_pointwise(pi_lasso):
@@ -141,7 +170,7 @@ def test_dirichlet_frame_structure(pi_lasso):
 
 
 def test_dirichlet_expansion_matches_function(pi_lasso):
-    sp = expand_free_charfn_dirichlet(pi_lasso, 1)
+    sp = expand_free_charfn(pi_lasso, Problem.dirichlet(1))
     assert sp.kind == "sin"
     rho = np.linspace(0.05, 15.0, 301)
     d0 = free_charfn_dirichlet(pi_lasso, 1, rho)
