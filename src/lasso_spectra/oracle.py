@@ -6,9 +6,25 @@ Integrating the operator against the solution and applying the matching and
 boundary conditions turns sigma into point terms: each interior jump of sigma
 (a delta potential) adds its height at that node, and the one-sided endpoint
 values of sigma add [sigma_0(0+) - sum_j sigma_j(|e_j|-)] at the internal
-vertex and sigma_j(0+) at each free pendant end. The generalized problem
+vertex and sigma_j(0+) at each free pendant end. Both are the jumps of sigma
+extended by zero beyond its edge: every edge adds sigma_j(0+) at its start
+and -sigma_j(|e_j|-) at its end, the internal vertex. The generalized problem
 A u = lambda M u is reduced by M^(-1/2) to an ordinary symmetric one, so the
 spectrum is real and the assembly is symmetric by construction.
+
+The dofs are numbered by their distance in grid steps from the internal
+vertex, ties by id, so the p + 2 chains leaving the vertex (two along the
+cycle, one per pendant) keep one order at every distance. Each distance holds
+at most p + 2 dofs, so every element couples dofs at most p + 2 apart. The
+operator is written straight into LAPACK's lower-band storage,
+`matrix[i, k] = A[i + k, i]` of shape (dim, b + 1) with half-bandwidth
+b <= p + 2; no dense dim x dim matrix is built. The lowest eigenvalues come
+from `scipy.linalg.eig_banded` (LAPACK dsbevx: reduction to tridiagonal
+form, then bisection), which is deterministic, needs no shift and returns
+multiple eigenvalues with their multiplicity. Its cost is the O(dim^2 b) band
+reduction. That reduction's rounding, up to ~3e-14 ||A|| with
+||A|| ~ 4 / h^2, keeps the lowest eigenvalues within ~1e-10 relative of a
+dense solve at 60-160 points per unit and within ~2e-8 at 320.
 
 Eigenvalue error is O(h^2); tests Richardson-extrapolate over h, h/2.
 """
@@ -17,10 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded
 
 from .errors import GridTooCoarse
 from .graph import Problem, ValidatedGraph, validate
@@ -42,7 +57,11 @@ def _nodes_for_edge(edge, unit: float, points_per_unit: float) -> int:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Mass-normalized symmetric matrix with its grid metadata."""
+    """Mass-normalized symmetric matrix in lower-band storage, with its grid metadata.
+
+    matrix has shape (dim, b + 1) and holds matrix[i, k] = A[i + k, i];
+    matrix.T is LAPACK's lower band layout.
+    """
 
     matrix: np.ndarray
     h: tuple[float, ...]  # grid spacing per edge
@@ -57,76 +76,65 @@ def discretize(graph, problem: Problem, points_per_unit: float) -> DiscreteOpera
         raise GridTooCoarse(
             f"points_per_unit = {points_per_unit} < {MIN_POINTS_PER_UNIT}"
         )
-    unit = graph.unit_value
-    p = graph.p
-    counts = [_nodes_for_edge(e, unit, points_per_unit) for e in graph.edges]
-    spacings = [graph.edge_length(j) / counts[j] for j in range(p + 1)]
+    counts = [_nodes_for_edge(e, graph.unit_value, points_per_unit) for e in graph.edges]
+    spacings = [graph.edge_length(j) / n for j, n in enumerate(counts)]
 
-    # Global dof layout: [v0] + cycle interior + per pendant (interior + outer end).
-    index_of: list[dict[int, int]] = []
+    # Node ids: 0 is the internal vertex; the cycle interior, then each
+    # pendant's outer end (local node 0) and interior take the next ids.
+    # dist holds each id's distance in grid steps from the internal vertex.
+    # A and the lumped mass are gathered as (row, col, value) and (id, value)
+    # lists; repeated entries are summed.
+    dist, starts = [np.zeros(1, dtype=np.intp)], []
+    rows, cols, vals, mass_ids, mass_vals = [], [], [], [], []
     next_id = 1
-    for j, n in enumerate(counts):
-        ids: dict[int, int] = {}
-        if j == 0:
-            ids[0] = 0
-            ids[n] = 0
-            for i in range(1, n):
-                ids[i] = next_id
-                next_id += 1
-        else:
-            ids[n] = 0
-            for i in range(n - 1, 0, -1):
-                ids[i] = next_id
-                next_id += 1
-            ids[0] = next_id  # pendant outer end
-            next_id += 1
-        index_of.append(ids)
+    for j, (edge, n, h) in enumerate(zip(graph.edges, counts, spacings)):
+        own = np.arange(1, n) if j == 0 else np.arange(n)  # local nodes with a new id
+        ids = np.zeros(n + 1, dtype=np.intp)
+        ids[own] = next_id + np.arange(len(own))
+        next_id += len(own)
+        dist.append(np.minimum(own, n - own) if j == 0 else n - own)
+        starts.append(ids[0])
+
+        g0, g1 = ids[:-1], ids[1:]
+        nodes = [b / edge.length * n for b in edge.potential.breakpoints]
+        assert all(x.denominator == 1 for x in nodes), "breakpoint not on a grid node"
+        points = ids[[int(x) for x in nodes]]
+        rows += [g0, g1, g0, g1, points]
+        cols += [g0, g1, g1, g0, points]
+        vals += [
+            np.full(2 * n, 1.0 / h),
+            np.full(2 * n, -1.0 / h),
+            np.diff([0.0, *edge.potential.values, 0.0]),  # jumps of sigma, ends included
+        ]
+        mass_ids += [g0, g1]
+        mass_vals.append(np.full(2 * n, h / 2.0))
     size = next_id
 
-    a = np.zeros((size, size))
-    mass = np.zeros(size)
-    for j, n in enumerate(counts):
-        ids = index_of[j]
-        h = spacings[j]
-        k = 1.0 / h
-        for i in range(n):
-            g0, g1 = ids[i], ids[i + 1]
-            a[g0, g0] += k
-            a[g1, g1] += k
-            a[g0, g1] -= k
-            a[g1, g0] -= k
-            mass[g0] += h / 2.0
-            mass[g1] += h / 2.0
-        for x, jump in graph.edges[j].potential.jumps():
-            pos = x / graph.edges[j].length * n  # exact node index by construction
-            node = int(pos)
-            assert pos == node, "breakpoint not on a grid node"
-            a[ids[node], ids[node]] += jump
-
-    # One-sided sigma values enter through the quasi-derivative conditions.
-    sigma_start = [graph.edges[j].potential.values[0] for j in range(p + 1)]
-    sigma_end = [graph.edges[j].potential.values[-1] for j in range(p + 1)]
-    a[0, 0] += sigma_start[0] - sum(sigma_end)
-    for j in range(1, p + 1):
-        outer = index_of[j][0]
-        a[outer, outer] += sigma_start[j]
-
+    # Dofs by distance, ties by id (stable sort): an element joins dofs at most p + 2 apart.
+    order = np.argsort(np.concatenate(dist), kind="stable")
     if problem.kind == "dirichlet":
-        drop = index_of[problem.j][0]
-        keep = [i for i in range(size) if i != drop]
-        a = a[np.ix_(keep, keep)]
-        mass = mass[keep]
-
+        order = order[order != starts[problem.j]]
+    dim = len(order)
+    rank = np.full(size, -1)
+    rank[order] = np.arange(dim)
+    mass = np.bincount(np.concatenate(mass_ids), np.concatenate(mass_vals), size)[order]
     d = 1.0 / np.sqrt(mass)
-    b = a * d[:, None] * d[None, :]
-    b = 0.5 * (b + b.T)
-    return DiscreteOperator(b, tuple(spacings), problem, points_per_unit)
+
+    # Lower band only, matrix[c, r - c] = A[r, c] for r >= c; the dropped dof has rank -1.
+    r, c = rank[np.concatenate(rows)], rank[np.concatenate(cols)]
+    keep = (c >= 0) & (r >= c)
+    r, c = r[keep], c[keep]
+    band = np.zeros((dim, int(np.max(r - c)) + 1))
+    np.add.at(band, (c, r - c), np.concatenate(vals)[keep] * d[r] * d[c])
+    return DiscreteOperator(band, tuple(spacings), problem, points_per_unit)
 
 
 def oracle_eigs(op: DiscreteOperator, count: int) -> np.ndarray:
-    """The count smallest eigenvalues, ascending (dense symmetric solve)."""
+    """The count smallest eigenvalues, ascending (LAPACK banded symmetric solve)."""
     count = min(count, op.matrix.shape[0])
-    return eigh(op.matrix, subset_by_index=(0, count - 1), eigvals_only=True)
+    return eig_banded(
+        op.matrix.T, lower=True, select="i", select_range=(0, count - 1), eigvals_only=True
+    )
 
 
 def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_criterion_3_oracle_equivalence(pi_lasso, delta_lasso):
             np.abs(np.asarray(lams) - extrapolated) / np.maximum(1.0, np.abs(extrapolated))
         )
         worst = max(worst, float(rel))
-    crit.finish(worst <= 1e-3, f"max rel error {worst:.2e} (dense dim ~3000)")
+    crit.finish(worst <= 1e-3, f"max rel error {worst:.2e} (banded solve, dim ~3000)")
 
 
 def test_criterion_4_asymptotic_frame(pi_lasso):

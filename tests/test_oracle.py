@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eig_banded, eigh
 
 from lasso_spectra.errors import GridTooCoarse
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
@@ -15,8 +19,19 @@ from lasso_spectra.spectrum import compute_catalog
 FREE_LOW_SPECTRUM = [0.0, 0.25, 4.0 / 9.0, 16.0 / 9.0, 2.25, 4.0, 4.0]
 
 
+def _full(op: DiscreteOperator) -> np.ndarray:
+    """The symmetric matrix stored in op.matrix (matrix[i, k] = A[i + k, i])."""
+    dim, width = op.matrix.shape
+    a = np.zeros((dim, dim))
+    for k in range(width):
+        i = np.arange(dim - k)
+        a[i + k, i] = op.matrix[i, k]
+        a[i, i + k] = op.matrix[i, k]
+    return a
+
+
 def test_toy_matrix_eigenvalues():
-    op = DiscreteOperator(np.array([[2.0, -1.0], [-1.0, 2.0]]), (1.0,), Problem.neumann(), 50)
+    op = DiscreteOperator(np.array([[2.0, -1.0], [2.0, 0.0]]), (1.0,), Problem.neumann(), 50)
     assert np.allclose(oracle_eigs(op, 2), [1.0, 3.0])
 
 
@@ -27,7 +42,8 @@ def test_grid_too_coarse(pi_lasso):
 
 def test_matrix_symmetric(delta_lasso):
     op = discretize(delta_lasso, Problem.neumann(), 50)
-    assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-12
+    a = _full(op)
+    assert np.max(np.abs(a - a.T)) <= 1e-12
 
 
 def test_free_low_spectrum_and_h2_convergence(pi_lasso):
@@ -47,7 +63,7 @@ def test_richardson_extrapolation_free(pi_lasso):
 
 def test_constant_zero_mode_for_full_problem(pi_lasso):
     op = discretize(pi_lasso, Problem.neumann(), 60)
-    vals, vecs = eigh(op.matrix, subset_by_index=(0, 0))
+    vals, vecs = eig_banded(op.matrix.T, lower=True, select="i", select_range=(0, 0))
     assert abs(vals[0]) < 1e-10
     # Undo the mass normalization: the zero mode is constant on the graph.
     # Mass weights are sqrt of the lumped masses used in discretize.
@@ -90,3 +106,47 @@ def test_pinned_oracle_with_negative_eigenvalue(delta_lasso):
     assert extrapolated[0] < 0.0
     rel = np.abs(np.asarray(lams) - extrapolated) / np.maximum(1.0, np.abs(extrapolated))
     assert np.max(rel) <= 1e-3
+
+
+def _band_matches_dense(graph, problem, ppu):
+    op = discretize(graph, problem, ppu)
+    assert op.matrix.shape[1] - 1 <= graph.p + 2, problem.label()
+    got = oracle_eigs(op, 6)
+    want = eigh(_full(op), subset_by_index=(0, 5), eigvals_only=True)
+    rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(rel) <= 1e-7, problem.label()
+    return got
+
+
+def _problems(graph):
+    return [Problem.neumann()] + [Problem.dirichlet(j) for j in range(1, graph.p + 1)]
+
+
+@pytest.mark.parametrize("name", ["pi_lasso", "delta_lasso", "attractive_p3"])
+def test_banded_solve_matches_dense(name, request):
+    graph = request.getfixturevalue(name)
+    for problem in _problems(graph):
+        got = _band_matches_dense(graph, problem, 60)
+        if name == "attractive_p3" and problem.kind == "neumann":
+            # The symmetric pendant modes: one double negative eigenvalue, listed twice.
+            assert got[1] - got[0] > 0.01
+            assert abs(got[2] - got[1]) <= 1e-8
+            assert got[3] - got[2] > 0.01
+
+
+LENGTHS = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+EDGES = st.tuples(LENGTHS, st.none() | st.tuples(st.integers(1, 3), st.floats(-0.6, 0.6)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(edges=st.lists(EDGES, min_size=2, max_size=5), data=st.data())
+def test_banded_solve_matches_dense_random(edges, data):
+    # One delta per edge at most, at 1/4, 1/2 or 3/4 of its length.
+    lengths = [length for length, _ in edges]
+    potentials = [
+        None if delta is None else delta_potential(length, length * Fraction(delta[0], 4), delta[1])
+        for length, delta in edges
+    ]
+    graph = lasso_graph(lengths[0], lengths[1:], potentials=potentials)
+    problem = data.draw(st.sampled_from(_problems(graph)))
+    _band_matches_dense(graph, problem, 50)
