@@ -3,12 +3,13 @@
 One scan evaluates fn once on the whole grid and then refines every candidate
 at once: fn is called with arrays only, so its cost per scan is the grid plus
 a few dozen vector calls, independent of the number of roots.
+
+scipy is imported on first use, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize.elementwise import find_minimum, find_root
 
 # A local minimum of |f| below DIP_FACTOR * scale triggers refinement; the
 # refined minimum counts as a double root if below TOUCH_FACTOR * scale.
@@ -23,6 +24,8 @@ def _roots_in(fn, lo, hi, args=()):
     """Vector bracket refinement: one root of fn(x, *args) in each [lo, hi]."""
     if lo.size == 0:
         return lo
+    from scipy.optimize.elementwise import find_root
+
     return find_root(fn, (lo, hi), args=args, tolerances={"xatol": XTOL}).x
 
 
@@ -31,6 +34,8 @@ def _minima(fn, a, x, b, sgn):
     argmin, and sgn * fn there, which is negative where fn changed sign."""
     if x.size == 0:
         return x, x
+    from scipy.optimize.elementwise import find_minimum
+
     res = find_minimum(lambda x, s: s * fn(x), (a, x, b), args=(sgn,), tolerances={"xatol": XTOL})
     return res.x, res.f_x
 

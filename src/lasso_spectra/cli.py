@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import errors
 from .charfn import charfn_for
 from .graph import Problem, graph_from_json, validate
 from .oracle import richardson_eigs
+from .propagate import fundamental_solutions
 from .reconstruct import (
     compare,
     hadamard_reconstruct,
@@ -118,9 +120,10 @@ def cmd_eigs(args) -> int:
     else:
         catalog = compute_catalog(graph, problem, args.rho_max)
         for entry in catalog.window_violations:
-            sys.stderr.write(
-                f"warning: entry (n={entry.n}, k={entry.k}) deviates by {entry.eps:.4g} "
-                "from its grid point (low-spectrum window exceeded)\n"
+            warnings.warn(
+                f"entry (n={entry.n}, k={entry.k}) deviates by {entry.eps:.4g} "
+                "from its grid point (low-spectrum window exceeded)",
+                errors.WindowViolationWarning,
             )
         catalog_csv = catalog_to_csv(catalog)
         frame_json = json.dumps(frame_to_json(catalog.frame), indent=2) + "\n"
@@ -147,14 +150,15 @@ def cmd_reconstruct(args) -> int:
     grid = parse_grid(args.lam) if args.lam else np.linspace(-5.0, 9.0, 200)
     result = hadamard_reconstruct(catalog, grid, args.n_max, frame)
 
-    direct = None
     if potentials_known:
-        direct = lambda lam: charfn_for(graph, problem, lam)  # noqa: E731
-    csv_text = result_to_csv(result, direct)
+        report = compare(result, lambda lam: charfn_for(graph, problem, lam))
+        csv_text, max_error = report.to_csv(), report.max_rel
+    else:
+        csv_text, max_error = result_to_csv(result), None
     summary = {
         "n_max": result.n_max,
         "leading_const": result.leading_const,
-        "max_error": compare(result, direct).max_rel if direct else None,
+        "max_error": max_error,
     }
     summary_json = json.dumps(summary, indent=2) + "\n"
     if args.out:
@@ -176,16 +180,13 @@ def _verify_checks(graph, rho_max: float, n_max: int):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     # Wronskian of the fundamental system at random lambda on every edge.
-    from .propagate import fundamental_solutions
-
     # lambda >= -4: hyperbolic growth keeps |C|,|S1| ~ cosh(kappa |e|), and the
     # absolute 1e-10 budget needs those below ~1e3.
-    worst = 0.0
-    for _ in range(200):
-        lam = float(rng.uniform(-4.0, 400.0))
-        for e in graph.edges:
-            f = fundamental_solutions(e, lam, graph.unit_value)
-            worst = max(worst, abs(f.wronskian() - 1.0))
+    lam = rng.uniform(-4.0, 400.0, size=200)
+    worst = max(
+        float(np.max(np.abs(fundamental_solutions(e, lam, graph.unit_value).wronskian() - 1.0)))
+        for e in graph.edges
+    )
     record("wronskian", worst <= 1e-10, {"max_deviation": worst})
 
     # Exact free expansion against the propagated zero-potential twin.

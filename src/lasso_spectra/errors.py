@@ -55,3 +55,7 @@ class GridTooCoarse(SpectraError):
 
 class HalfPeriodZeroWarning(UserWarning):
     """tau/2 is a zero of the reference polynomial; folded boundary convention in use."""
+
+
+class WindowViolationWarning(UserWarning):
+    """A low-spectrum catalog entry deviates from its grid point by more than the window."""

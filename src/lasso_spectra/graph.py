@@ -240,13 +240,15 @@ def _potential_from_json(obj) -> PotentialSpec:
 def graph_from_json(source) -> tuple[ValidatedGraph, bool]:
     """Load a graph config from a dict, JSON string, or file path.
 
-    Returns (graph, potentials_known). Edges without a "sigma" entry get the
-    zero potential and mark the config as geometry-only (spectra-only usage).
+    A str whose first non-blank character is "{" is JSON text; any other str
+    or Path is a file path. Returns (graph, potentials_known). Edges without a
+    "sigma" entry get the zero potential and mark the config as geometry-only
+    (spectra-only usage).
     """
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        obj = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         obj = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        obj = json.loads(Path(source).read_text())
     else:
         obj = source
     if not isinstance(obj, dict) or "edges" not in obj:

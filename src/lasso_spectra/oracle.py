@@ -27,6 +27,8 @@ reduction. That reduction's rounding, up to ~3e-14 ||A|| with
 dense solve at 60-160 points per unit and within ~2e-8 at 320.
 
 Eigenvalue error is O(h^2); tests Richardson-extrapolate over h, h/2.
+
+scipy is imported on first use, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import GridTooCoarse
 from .graph import Problem, ValidatedGraph, validate
@@ -131,6 +132,8 @@ def discretize(graph, problem: Problem, points_per_unit: float) -> DiscreteOpera
 
 def oracle_eigs(op: DiscreteOperator, count: int) -> np.ndarray:
     """The count smallest eigenvalues, ascending (LAPACK banded symmetric solve)."""
+    from scipy.linalg import eig_banded
+
     count = min(count, op.matrix.shape[0])
     return eig_banded(
         op.matrix.T, lower=True, select="i", select_range=(0, count - 1), eigvals_only=True

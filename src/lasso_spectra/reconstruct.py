@@ -218,11 +218,9 @@ def convergence_table(
     return out
 
 
-def result_to_csv(result: ReconstructionResult, direct=None) -> str:
-    if direct is None:
-        lines = ["lambda,delta_hat"]
-        for lam, rec in zip(result.grid, result.values):
-            lines.append(f"{float(lam)!r},{float(rec)!r}")
-        return "\n".join(lines) + "\n"
-    report = compare(result, direct)
-    return report.to_csv()
+def result_to_csv(result: ReconstructionResult) -> str:
+    """Recovered values alone; ErrorReport.to_csv adds the direct values and errors."""
+    lines = ["lambda,delta_hat"]
+    for lam, rec in zip(result.grid, result.values):
+        lines.append(f"{float(lam)!r},{float(rec)!r}")
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lasso_spectra import cli
 from lasso_spectra.cli import main, parse_grid
+from lasso_spectra.errors import WindowViolationWarning
+from lasso_spectra.graph import graph_from_json
+from lasso_spectra.propagate import fundamental_solutions
 
 ROOT = Path(__file__).resolve().parents[1]
 FREE = str(ROOT / "configs" / "lasso_free.json")
@@ -97,6 +104,26 @@ def test_reconstruct_round_trip(capsys, tmp_path):
     assert rows[0] == "lambda,delta_hat,delta_direct,rel_error"
 
 
+def test_reconstruct_evaluates_direct_once(capsys, tmp_path, monkeypatch):
+    base = str(tmp_path / "cat")
+    run(capsys, "eigs", "--config", DELTA, "--rho-max", "30", "--out", base)
+    calls, charfn_for = [], cli.charfn_for
+
+    def counting_charfn_for(*args):
+        calls.append(args)
+        return charfn_for(*args)
+
+    monkeypatch.setattr(cli, "charfn_for", counting_charfn_for)
+    code, out, err = run(
+        capsys, "reconstruct", "--config", DELTA, "--spectra", base + ".csv",
+        "--n-max", "10", "--lambda=-1:1:0.25",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert out.splitlines()[0] == "lambda,delta_hat,delta_direct,rel_error"
+    assert json.loads(err)["max_error"] < 1e-2
+
+
 def test_reconstruct_without_potentials_emits_bare_values(capsys, tmp_path):
     base = str(tmp_path / "cat")
     run(capsys, "eigs", "--config", DELTA, "--rho-max", "10", "--out", base)
@@ -166,6 +193,22 @@ def test_verify_passes_on_free_fixture(capsys):
     assert {"wronskian", "catalog_bijection", "oracle_agreement", "reconstruction_round_trip"} <= names
 
 
+def test_verify_wronskian_matches_scalar_loop(capsys):
+    code, out, _ = run(capsys, "verify", "--config", DELTA, "--rho-max", "20")
+    assert code == 0
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "wronskian")
+    graph, _ = graph_from_json(DELTA)
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(200):
+        lam = float(rng.uniform(-4.0, 400.0))
+        for e in graph.edges:
+            f = fundamental_solutions(e, lam, graph.unit_value)
+            worst = max(worst, abs(f.wronskian() - 1.0))
+    assert check["detail"]["max_deviation"] == worst
+    assert check["passed"] and worst <= 1e-10
+
+
 def test_verify_corrupted_fixture_exits_2(capsys, tmp_path):
     blob = json.loads(Path(DELTA).read_text())
     blob["edges"][1]["length"] = "0"
@@ -173,3 +216,46 @@ def test_verify_corrupted_fixture_exits_2(capsys, tmp_path):
     bad.write_text(json.dumps(blob))
     code, _, _ = run(capsys, "verify", "--config", str(bad))
     assert code == 2
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_charfn_loads_no_scipy(tmp_path):
+    out = str(tmp_path / "charfn.csv")
+    proc = _python(
+        "import json, sys\n"
+        "from lasso_spectra.cli import main\n"
+        f"code = main(['charfn', '--config', 'configs/lasso_delta.json', '--rho=0:5:0.01', '--out', {out!r}])\n"
+        "print(json.dumps([code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert loaded == []
+    assert len(Path(out).read_text().splitlines()) == 1 + 501
+
+    proc = _python(
+        "import sys\n"
+        "from lasso_spectra.cli import main\n"
+        "sys.exit(main(['eigs', '--config', 'configs/lasso_delta.json', '--rho-max', '5']))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n,k,lambda,rho,rho0,eps,multiplicity"
+
+
+def test_eigs_window_violation_warns(capsys, tmp_path):
+    blob = json.loads(Path(DELTA).read_text())
+    blob["edges"][1]["sigma"]["values"] = [0.0, 2.0]
+    cfg = tmp_path / "strong.json"
+    cfg.write_text(json.dumps(blob))
+    with pytest.warns(WindowViolationWarning, match="low-spectrum window exceeded") as record:
+        code, out, err = run(capsys, "eigs", "--config", str(cfg), "--rho-max", "20")
+    assert code == 0
+    assert len([w for w in record if w.category is WindowViolationWarning]) == 1
+    assert "warning: entry" not in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -96,6 +97,19 @@ def test_json_round_trip(tmp_path):
     g2, known = graph_from_json(path)
     assert known
     assert g2 == g
+
+
+def test_json_text_longer_than_a_file_name():
+    path = Path(__file__).resolve().parents[1] / "configs" / "lasso_triple.json"
+    text = path.read_text()
+    assert len(text) > 255
+    assert graph_from_json(text) == graph_from_json(path)
+    assert graph_from_json("\n  " + text) == graph_from_json(str(path))
+
+
+def test_json_missing_path_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        graph_from_json(str(tmp_path / "absent.json"))
 
 
 def test_json_without_sigma_marks_unknown_potential():

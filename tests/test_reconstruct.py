@@ -146,7 +146,7 @@ def test_compare_identical_is_zero(pi_lasso):
 def test_result_csv(delta_catalog_deep, delta_lasso):
     grid = off_eigenvalue_grid(delta_catalog_deep, -1.0, 1.0, 20)
     res = hadamard_reconstruct(delta_catalog_deep, grid, 25)
-    text = result_to_csv(res, lambda lam: charfn(delta_lasso, lam))
+    text = compare(res, lambda lam: charfn(delta_lasso, lam)).to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "lambda,delta_hat,delta_direct,rel_error"
     assert len(lines) == len(grid) + 1
