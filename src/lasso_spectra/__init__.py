@@ -14,7 +14,6 @@ from .graph import (
     PotentialSpec,
     Problem,
     ValidatedGraph,
-    common_measure,
     delta_potential,
     graph_from_json,
     graph_to_json,
@@ -26,19 +25,13 @@ from .graph import (
 from .oracle import DiscreteOperator, discretize, oracle_eigs, richardson_eigs
 from .propagate import (
     FundamentalSolution,
-    StateMatrix,
-    fundamental_matrix,
     fundamental_solutions,
     phi_pair,
-    step_matrix,
 )
 from .reconstruct import (
     ReconstructionResult,
     compare,
-    convergence_table,
     hadamard_reconstruct,
-    leading_constant,
-    reconstruction_ratio,
 )
 from .spectrum import (
     CatalogEntry,
@@ -50,7 +43,6 @@ from .spectrum import (
     epsilon_diagnostics,
     find_eigenvalues,
     negative_eigenvalues,
-    partial_sum,
 )
 from .trigpoly import (
     AsymptoticFrame,

@@ -11,27 +11,16 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import errors
+from . import checks, errors
 from .charfn import charfn_for
 from .graph import Problem, graph_from_json, validate
-from .oracle import richardson_eigs
-from .propagate import fundamental_solutions
-from .reconstruct import (
-    compare,
-    hadamard_reconstruct,
-    result_to_csv,
-)
-from .spectrum import (
-    SpectrumCatalog,
-    catalog_to_csv,
-    compute_catalog,
-    entries_from_csv,
-    epsilon_diagnostics,
-)
+from .reconstruct import compare, hadamard_reconstruct, result_to_csv
+from .spectrum import SpectrumCatalog, catalog_to_csv, compute_catalog, entries_from_csv
 from .trigpoly import build_frame, frame_to_json
 
 CONFIG_ERRORS = (
@@ -171,101 +160,6 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _verify_checks(graph, rho_max: float, n_max: int):
-    rng = np.random.default_rng(7)
-    problem = Problem.neumann()
-    checks = []
-
-    def record(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    # Wronskian of the fundamental system at random lambda on every edge.
-    # lambda >= -4: hyperbolic growth keeps |C|,|S1| ~ cosh(kappa |e|), and the
-    # absolute 1e-10 budget needs those below ~1e3.
-    lam = rng.uniform(-4.0, 400.0, size=200)
-    worst = max(
-        float(np.max(np.abs(fundamental_solutions(e, lam, graph.unit_value).wronskian() - 1.0)))
-        for e in graph.edges
-    )
-    record("wronskian", worst <= 1e-10, {"max_deviation": worst})
-
-    # Exact free expansion against the propagated zero-potential twin.
-    frame = build_frame(graph, problem)
-    rho = rng.uniform(0.0, 50.0, size=200)
-    direct = charfn_for(graph.with_zero_potential(), problem, rho * rho)
-    closed = frame.eval_rho(rho)
-    scale = np.max(np.abs(closed)) or 1.0
-    dev = float(np.max(np.abs(direct - closed)) / scale)
-    record("free_closed_form", dev <= 1e-12, {"max_relative_deviation": dev})
-
-    rho_probe = rng.uniform(0.0, 10.0 * frame.tau, size=500)
-    per = float(np.max(np.abs(frame.poly(rho_probe + frame.tau) - frame.poly(rho_probe))))
-    record("periodicity", per <= 1e-9 * frame.poly.deriv_scale(0), {"max_deviation": per})
-
-    try:
-        catalog = compute_catalog(graph, problem, rho_max)
-        slots = len(frame.slots(rho_max))
-        ok = len(catalog.entries) == slots
-        window_ok = all(
-            abs(e.eps) < frame.delta() / 2.0 for e in catalog.entries if e.lam >= 0.0
-        )
-        record(
-            "catalog_bijection",
-            ok and window_ok,
-            {"entries": len(catalog.entries), "grid_points": slots, "windows_ok": window_ok},
-        )
-    except (errors.SpectraError,) as exc:
-        record("catalog_bijection", False, {"error": str(exc)})
-        catalog = None
-
-    try:
-        count = 6
-        extrapolated = richardson_eigs(graph, problem, count, 60.0)
-        lams = sorted(e.lam for e in catalog.entries)[:count] if catalog else []
-        if len(lams) == count:
-            rel = float(
-                np.max(
-                    np.abs(np.asarray(lams) - extrapolated)
-                    / np.maximum(1.0, np.abs(extrapolated))
-                )
-            )
-            record("oracle_agreement", rel <= 1e-3, {"max_relative_error": rel})
-        else:
-            record("oracle_agreement", False, {"error": "catalog too short"})
-    except errors.SpectraError as exc:
-        record("oracle_agreement", False, {"error": str(exc)})
-
-    if catalog is not None and catalog.covers_truncation(n_max):
-        lams = np.array(sorted(e.lam for e in catalog.entries))
-        grid = np.linspace(-5.0, 9.0, 200)
-        grid = grid[np.array([np.min(np.abs(l - lams)) > 1e-2 for l in grid])]
-        result = hadamard_reconstruct(catalog, grid, n_max)
-        report = compare(result, lambda lam: charfn_for(graph, problem, lam))
-        record("reconstruction_round_trip", report.max_rel <= 1e-3, {"max_rel": report.max_rel})
-
-        lam_ref = -1e3
-        ratio_hat = hadamard_reconstruct(catalog, np.array([lam_ref]), n_max).values[0]
-        d0 = frame.eval_lambda(lam_ref)
-        ratio_hat /= d0
-        ratio_direct = charfn_for(graph, problem, lam_ref) / d0
-        ok = abs(ratio_hat - 1.0) <= 1e-2 and abs(ratio_direct - 1.0) <= 1e-2
-        record(
-            "normalization_limit",
-            ok,
-            {"recovered_over_free": float(ratio_hat), "direct_over_free": float(ratio_direct)},
-        )
-
-        diag = epsilon_diagnostics(catalog)
-        record(
-            "epsilon_diagnostics",
-            True,  # reported, not asserted
-            {f"family_{f.k}": {"bounded": f.bounded, "sum": f.partial_sums[-1] if f.partial_sums else 0.0} for f in diag.families},
-        )
-    else:
-        record("reconstruction_round_trip", False, {"error": "catalog unavailable or too short"})
-    return checks
-
-
 def cmd_verify(args) -> int:
     graph, potentials_known = graph_from_json(args.config)
     validate(graph)
@@ -277,12 +171,12 @@ def cmd_verify(args) -> int:
     else:
         n_max = 100
     rho_max = args.rho_max if args.rho_max and args.rho_max > 0 else tau * (n_max + 1) + 1.0
-    checks = _verify_checks(graph, rho_max, n_max)
+    results = checks.verify(graph, rho_max, n_max)
     report = {
         "config": str(args.config),
         "potentials_known": potentials_known,
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
+        "checks": [asdict(c) for c in results],
+        "all_passed": all(c.passed for c in results),
     }
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

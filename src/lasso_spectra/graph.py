@@ -182,18 +182,6 @@ def validate(spec) -> ValidatedGraph:
     return ValidatedGraph(edges, spec.length_unit)
 
 
-def common_measure(graph: ValidatedGraph) -> Fraction:
-    """Greatest common measure of the (rational) edge lengths."""
-    g = Fraction(0)
-    for e in graph.edges:
-        a, b = g, e.length
-        # gcd(a/b, c/d) = gcd(a*d, c*b) / (b*d)
-        num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-        den = a.denominator * b.denominator
-        g = Fraction(num, den)
-    return g
-
-
 @dataclass(frozen=True)
 class Problem:
     """Boundary-condition family: Neumann at all pendant ends, or Dirichlet at one."""

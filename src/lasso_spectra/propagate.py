@@ -107,16 +107,10 @@ class FundamentalSolution:
         return self.C * self.S1 - self.C1 * self.S
 
 
-def fundamental_matrix(edge: EdgeSpec, lam, unit: float = 1.0) -> StateMatrix:
-    """Ordered product of segment propagators; columns are (C, C1) and (S, S1)."""
+def fundamental_solutions(edge: EdgeSpec, lam, unit: float = 1.0) -> FundamentalSolution:
+    """Ordered product of segment propagators; its columns are (C, C1) and (S, S1)."""
     m = StateMatrix.identity()
     bp = edge.potential.breakpoints
     for sigma, lo, hi in zip(edge.potential.values, bp, bp[1:]):
-        h = float(hi - lo) * unit
-        m = step_matrix(sigma, h, lam) @ m
-    return m
-
-
-def fundamental_solutions(edge: EdgeSpec, lam, unit: float = 1.0) -> FundamentalSolution:
-    m = fundamental_matrix(edge, lam, unit)
+        m = step_matrix(sigma, float(hi - lo) * unit, lam) @ m
     return FundamentalSolution(C=m.a, C1=m.c, S=m.b, S1=m.d)

@@ -23,7 +23,12 @@ the mean shift over n_max/2 < |n| <= n_max, and S_k is the midpoint-rule
 integral of the sum (arctan for lambda < 0, log for lambda > 0). Without it
 the truncation error decays only like 1/n_max (c_k / (tau * n_max) per
 family); with it, like the next term of the shifts, about 1/n_max^3 on the
-fixtures. reconstruction_ratio stays the bare truncated product.
+fixtures.
+
+The result also carries ratio, the factor product times the tail estimate:
+recovered over free, so values = d0 * ratio. It stays inside float range at
+deeply negative lambda, where d0 and the recovered function each grow like
+exp(sqrt(|lambda|) * total length) and overflow on their own.
 """
 
 from __future__ import annotations
@@ -57,10 +62,10 @@ def leading_constant(frame: AsymptoticFrame) -> float:
 class ReconstructionResult:
     grid: np.ndarray
     values: np.ndarray  # NaN at flagged points
+    ratio: np.ndarray  # values / d0, finite where d0 overflows; NaN at flagged points
     flagged: np.ndarray  # True where the grid point sits on the unperturbed grid
     n_max: int
     leading_const: float
-    error_vs_direct: np.ndarray | None = None
 
 
 def _truncation_entries(catalog: SpectrumCatalog, frame: AsymptoticFrame, n_max: int):
@@ -139,38 +144,17 @@ def hadamard_reconstruct(
         lam0 = e.rho0 * e.rho0
         flagged |= np.abs(grid - lam0) < GRID_EIG_TOL
     d0 = np.asarray(frame.eval_lambda(grid), dtype=float)
-    tail = np.exp(_log_tail(entries, frame, n_max, grid))
-    with np.errstate(invalid="ignore"):  # 0 * inf at flagged points
-        values = d0 * _factor_product(entries, grid) * tail
-    values[flagged] = np.nan
+    ratio = _factor_product(entries, grid) * np.exp(_log_tail(entries, frame, n_max, grid))
+    ratio[flagged] = np.nan
+    values = d0 * ratio
     return ReconstructionResult(
         grid=grid,
         values=values,
+        ratio=ratio,
         flagged=flagged,
         n_max=n_max,
         leading_const=leading_constant(frame),
     )
-
-
-def reconstruction_ratio(
-    catalog: SpectrumCatalog,
-    lam,
-    n_max: int,
-    frame: AsymptoticFrame | None = None,
-):
-    """The bare factor product: recovered over free characteristic function.
-
-    Unlike evaluating the two functions separately, the ratio stays inside
-    float range at deeply negative lambda, where each function alone grows
-    like exp(sqrt(|lambda|) * total length). It is the truncated product
-    alone, without hadamard_reconstruct's tail estimate.
-    """
-    frame = frame or catalog.frame
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = _factor_product(_truncation_entries(catalog, frame, n_max), lam_arr)
-    if np.ndim(lam) == 0:
-        return float(out[0])
-    return out
 
 
 @dataclass(frozen=True)
@@ -201,21 +185,6 @@ def compare(result: ReconstructionResult, direct) -> ErrorReport:
     max_rel = float(np.max(finite)) if finite.size else float("nan")
     median_rel = float(np.median(finite)) if finite.size else float("nan")
     return ErrorReport(result.grid, result.values, direct_vals, rel, max_rel, median_rel)
-
-
-def convergence_table(
-    catalog: SpectrumCatalog,
-    grid,
-    direct,
-    n_maxes=(25, 50, 100, 200),
-    frame: AsymptoticFrame | None = None,
-) -> list[tuple[int, float]]:
-    """Max relative error for each truncation depth (diagnosing convergence)."""
-    out = []
-    for n_max in n_maxes:
-        report = compare(hadamard_reconstruct(catalog, grid, n_max, frame), direct)
-        out.append((n_max, report.max_rel))
-    return out
 
 
 def result_to_csv(result: ReconstructionResult) -> str:

@@ -253,26 +253,11 @@ def compute_catalog(graph, problem: Problem, rho_max: float) -> SpectrumCatalog:
 class FamilyDiagnostic:
     k: int
     mu: int
-    eps: tuple[float, ...]  # ordered by |n|
-    partial_sums: tuple[float, ...]  # cumulative sum of |eps|^(2 mu)
+    partial_sums: tuple[float, ...]  # cumulative sum of |eps|^(2 mu), ordered by |n|
     bounded: bool
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
-    families: tuple[FamilyDiagnostic, ...]
-
-    def family(self, k: int) -> FamilyDiagnostic:
-        for f in self.families:
-            if f.k == k:
-                return f
-        raise KeyError(k)
-
-    def all_bounded(self) -> bool:
-        return all(f.bounded for f in self.families)
-
-
-def epsilon_diagnostics(catalog: SpectrumCatalog) -> EpsilonReport:
+def epsilon_diagnostics(catalog: SpectrumCatalog) -> tuple[FamilyDiagnostic, ...]:
     """Partial sums of |eps|^(2 mu_k) per family with an empirical plateau flag.
 
     The flag is true when the sums grow by less than 10% over the second half
@@ -280,28 +265,19 @@ def epsilon_diagnostics(catalog: SpectrumCatalog) -> EpsilonReport:
     """
     fams = []
     for fam in catalog.frame.families:
-        sub = catalog.family(fam.index)
-        eps = tuple(e.eps for e in sub)
         exponent = 2 * max(fam.mu, 1)
         sums = []
         acc = 0.0
-        for e in eps:
-            acc += abs(e) ** exponent
+        for e in catalog.family(fam.index):
+            acc += abs(e.eps) ** exponent
             sums.append(acc)
         if sums:
             half = sums[len(sums) // 2]
             bounded = (sums[-1] - half) < 0.1 * max(half, 1e-30)
         else:
             bounded = True
-        fams.append(FamilyDiagnostic(fam.index, fam.mu, eps, tuple(sums), bounded))
-    return EpsilonReport(tuple(fams))
-
-
-def partial_sum(catalog: SpectrumCatalog, k: int, n_cap: int) -> float:
-    """Sum of |eps_nk|^(2 mu_k) over |n| <= n_cap for family k."""
-    fam = next(f for f in catalog.frame.families if f.index == k)
-    exponent = 2 * max(fam.mu, 1)
-    return sum(abs(e.eps) ** exponent for e in catalog.family(k) if abs(e.n) <= n_cap)
+        fams.append(FamilyDiagnostic(fam.index, fam.mu, tuple(sums), bounded))
+    return tuple(fams)
 
 
 def catalog_to_csv(catalog: SpectrumCatalog) -> str:

@@ -263,11 +263,9 @@ class AsymptoticFrame:
     """Period, base zeros, and family structure of an unperturbed spectrum."""
 
     tau: float
-    freq_gcd: Fraction
     flavor: str  # "cos" | "sinc"
     poly: TrigPoly  # d_0 itself (cos) or rho * d_0 (sinc); periodic either way
     mu0: int
-    zero_mult: int  # poly multiplicity at rho = 0
     interior: tuple[tuple[float, int], ...]  # (alpha, mult) on (0, tau/2)
     half_mult: int  # poly multiplicity at tau/2 (0 if not a zero)
     half_period_zero: bool
@@ -404,11 +402,9 @@ def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
 
     return AsymptoticFrame(
         tau=tau,
-        freq_gcd=poly.freq_gcd(),
         flavor=flavor,
         poly=poly,
         mu0=mu0,
-        zero_mult=zero_mult,
         interior=tuple(interior),
         half_mult=half_mult,
         half_period_zero=(flavor == "cos" and half_is_zero),

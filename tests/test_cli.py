@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lasso_spectra import cli
+from lasso_spectra import checks, cli
 from lasso_spectra.cli import main, parse_grid
 from lasso_spectra.errors import WindowViolationWarning
-from lasso_spectra.graph import graph_from_json
+from lasso_spectra.graph import delta_potential, graph_from_json, graph_to_json, lasso_graph
 from lasso_spectra.propagate import fundamental_solutions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -191,6 +191,35 @@ def test_verify_passes_on_free_fixture(capsys):
     assert report["all_passed"]
     names = {c["name"] for c in report["checks"]}
     assert {"wronskian", "catalog_bijection", "oracle_agreement", "reconstruction_round_trip"} <= names
+    for c in report["checks"]:
+        assert {"value", "bound", "elapsed_s"} <= c.keys() and c["elapsed_s"] >= 0.0
+
+
+VERIFY_CHECKS = [
+    "wronskian", "free_closed_form", "periodicity", "catalog_bijection", "oracle_agreement",
+    "reconstruction_round_trip", "normalization_limit", "epsilon_diagnostics",
+]
+
+
+def test_verify_reports_every_check_when_the_catalog_fails(capsys, tmp_path, monkeypatch):
+    # p = 3, lengths pi, delta -4 at each pendant midpoint: a simple and a double
+    # eigenvalue lie within one scan cell, so the catalog fails at rho_max 20.
+    # Should the scan learn to resolve them, use a config whose catalog still fails.
+    graph = lasso_graph(
+        1, [1, 1, 1], potentials=[None] + [delta_potential(1, "1/2", -4.0)] * 3, length_unit="pi"
+    )
+    cfg = tmp_path / "attractive.json"
+    cfg.write_text(json.dumps(graph_to_json(graph)))
+    solves = []
+    monkeypatch.setattr(checks, "richardson_eigs", lambda *args: solves.append(args))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--rho-max", "20")
+    assert code == 1
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == VERIFY_CHECKS[3:]
+    assert all("error" in c["detail"] for c in report["checks"][3:])
+    assert solves == []  # no oracle solve without a catalog
 
 
 def test_verify_wronskian_matches_scalar_loop(capsys):

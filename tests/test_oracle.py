@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded, eigh
 
+from lasso_spectra import checks
 from lasso_spectra.errors import GridTooCoarse
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
 from lasso_spectra.oracle import (
@@ -82,21 +83,10 @@ def test_pinned_problem_excludes_constants(pi_lasso):
     assert lam0 > 0.03  # (1/5)^2 = 0.04 up to O(h^2)
 
 
-def test_delta_oracle_matches_rootfinding(delta_lasso):
-    extrapolated = richardson_eigs(delta_lasso, Problem.neumann(), 6, 60)
-    cat = compute_catalog(delta_lasso, Problem.neumann(), 2.6)
-    lams = sorted(e.lam for e in cat.entries)[:6]
-    rel = np.abs(np.asarray(lams) - extrapolated) / np.maximum(1.0, np.abs(extrapolated))
-    assert np.max(rel) <= 1e-3
-
-
 def test_strong_delta_oracle_agreement():
     g = lasso_graph(1, [1, 1], potentials=[None, delta_potential(1, "1/2", 1.0), None], length_unit="pi")
-    extrapolated = richardson_eigs(g, Problem.neumann(), 6, 60)
     cat = compute_catalog(g, Problem.neumann(), 2.7)
-    lams = sorted(e.lam for e in cat.entries)[:6]
-    rel = np.abs(np.asarray(lams) - extrapolated) / np.maximum(1.0, np.abs(extrapolated))
-    assert np.max(rel) <= 1e-3
+    assert checks.oracle_agreement(g, Problem.neumann(), cat).passed
 
 
 def test_pinned_oracle_with_negative_eigenvalue(delta_lasso):

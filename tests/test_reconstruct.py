@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from free_reference import free_charfn_dirichlet
 
-from lasso_spectra.charfn import charfn, charfn_dirichlet, charfn_for
+from lasso_spectra import checks
+from lasso_spectra.charfn import assemble, charfn
 from lasso_spectra.errors import DegenerateLeadingTerm, InsufficientCatalog, NearPole
 from lasso_spectra.graph import Problem
+from lasso_spectra.propagate import FundamentalSolution, StateMatrix
 from lasso_spectra.reconstruct import (
     compare,
-    convergence_table,
     hadamard_reconstruct,
     leading_constant,
     result_to_csv,
@@ -42,11 +44,9 @@ def test_leading_constant_degenerate_guard():
     # mu0 = 1 then contradicts the vanishing derivative and must be reported.
     degenerate = AsymptoticFrame(
         tau=2 * math.pi,
-        freq_gcd=Fraction(1),
         flavor="cos",
         poly=TrigPoly("cos", (Fraction(1), Fraction(2)), (4.0, -1.0)),
         mu0=1,
-        zero_mult=2,
         interior=(),
         half_mult=0,
         half_period_zero=False,
@@ -63,28 +63,13 @@ def test_zero_potential_fixed_point(pi_lasso):
     assert np.max(np.abs(res.values - d0)) <= 1e-12 * np.max(np.abs(d0))
 
 
-def test_delta_reconstruction_accuracy(delta_catalog_deep, delta_lasso):
-    grid = off_eigenvalue_grid(delta_catalog_deep)
-    res = hadamard_reconstruct(delta_catalog_deep, grid, 100)
-    report = compare(res, lambda lam: charfn(delta_lasso, lam))
-    assert report.max_rel <= 1e-3
-
-
 def test_delta_reconstruction_convergence(delta_catalog_deep, delta_lasso):
-    grid = off_eigenvalue_grid(delta_catalog_deep)
-    table = convergence_table(
-        delta_catalog_deep, grid, lambda lam: charfn(delta_lasso, lam), (25, 50, 100, 200)
-    )
-    errs = [err for _, err in table]
+    errs = [
+        checks.round_trip(delta_lasso, Problem.neumann(), delta_catalog_deep, n_max).value
+        for n_max in (25, 50, 100, 200)
+    ]
     assert all(b <= a for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= errs[0] / 4.0
-
-
-def test_pinned_reconstruction(delta_catalog_deep_pinned, delta_lasso):
-    grid = off_eigenvalue_grid(delta_catalog_deep_pinned)
-    res = hadamard_reconstruct(delta_catalog_deep_pinned, grid, 100)
-    report = compare(res, lambda lam: charfn_dirichlet(delta_lasso, 1, lam))
-    assert report.max_rel <= 1e-3
 
 
 @pytest.mark.parametrize(
@@ -94,9 +79,7 @@ def test_strong_attractive_round_trip(attractive_p3, problem):
     # Eigenvalue shifts tend to a nonzero constant per family, so without the
     # tail estimate the truncated product misses 1e-3 (5.7e-3 at n_max 100).
     cat = compute_catalog(attractive_p3, problem, 203.0)
-    res = hadamard_reconstruct(cat, off_eigenvalue_grid(cat), 100)
-    report = compare(res, lambda lam: charfn_for(attractive_p3, problem, lam))
-    assert report.max_rel <= 1e-3
+    assert checks.round_trip(attractive_p3, problem, cat, 100).passed
 
 
 def test_reconstruction_zero_structure(delta_catalog_deep, delta_lasso):
@@ -114,19 +97,12 @@ def test_reconstruction_zero_structure(delta_catalog_deep, delta_lasso):
     assert np.max(np.abs(vals - direct) / np.abs(direct)) <= 1e-3
 
 
-def test_normalization_limit(delta_catalog_deep, delta_lasso):
-    lam = -1e3
-    d0 = delta_catalog_deep.frame.eval_lambda(lam)
-    recovered = hadamard_reconstruct(delta_catalog_deep, np.array([lam]), 100).values[0]
-    assert abs(recovered / d0 - 1.0) <= 1e-2
-    assert abs(charfn(delta_lasso, lam) / d0 - 1.0) <= 1e-2
-
-
 def test_grid_point_on_eigenvalue_flagged(pi_lasso):
     cat = compute_catalog(pi_lasso, Problem.neumann(), 12.0)
     res = hadamard_reconstruct(cat, np.array([0.25, 0.3]), 5)
     assert bool(res.flagged[0]) and not bool(res.flagged[1])
     assert np.isnan(res.values[0]) and np.isfinite(res.values[1])
+    assert np.isnan(res.ratio[0]) and np.isfinite(res.ratio[1])
 
 
 def test_insufficient_catalog(pi_lasso):
@@ -169,10 +145,36 @@ def test_weyl_poles_match_catalog(delta_lasso):
     assert hits > 20
 
 
-def test_ratio_stays_finite_at_deep_negative_lambda(delta_catalog_deep):
-    from lasso_spectra.reconstruct import reconstruction_ratio
+def _mp_charfn(graph, problem, lam):
+    """The characteristic function at 40 digits for lambda < 0: assemble on
+    endpoint values propagated segment by segment in mpmath."""
+    with mpmath.workdps(40):
+        kappa = mpmath.sqrt(-mpmath.mpf(lam))
+        unit = mpmath.pi if graph.length_unit == "pi" else 1
+        fs = []
+        for e in graph.edges:
+            m = StateMatrix.identity()
+            bp = e.potential.breakpoints
+            for sigma, lo, hi in zip(e.potential.values, bp, bp[1:]):
+                h = unit * mpmath.mpf((hi - lo).numerator) / (hi - lo).denominator
+                ch, sh = mpmath.cosh(kappa * h), mpmath.sinh(kappa * h) / kappa
+                s = mpmath.mpf(sigma)
+                m = StateMatrix(ch + sh * s, sh, -sh * (s * s + lam), ch - sh * s) @ m
+            fs.append(FundamentalSolution(C=m.a, C1=m.c, S=m.b, S1=m.d))
+        return assemble(fs, problem.j)
 
-    # Both functions overflow separately at -1e4 on the pi-length graph;
-    # the factor product evaluates the ratio directly.
-    ratio = reconstruction_ratio(delta_catalog_deep, -1e4, 100)
-    assert abs(ratio - 1.0) <= 1e-3
+
+def test_ratio_stays_finite_at_deep_negative_lambda(delta_catalog_deep, delta_lasso):
+    # d0 overflows at -1e4 on the pi-length graph; the ratio does not. Against
+    # charfn/d0 at 40 digits the tail-corrected product is off by ~1.5e-9; the
+    # bare truncated product, by ~4e-4.
+    lams = np.array([-1e2, -4e2, -2.5e3, -1e4])
+    ratio = hadamard_reconstruct(delta_catalog_deep, lams, 100).ratio
+    assert np.all(np.isfinite(ratio))
+    free = delta_lasso.with_zero_potential()
+    for lam, got in zip(lams, ratio):
+        with mpmath.workdps(40):
+            want = _mp_charfn(delta_lasso, Problem.neumann(), lam) / _mp_charfn(
+                free, Problem.neumann(), lam
+            )
+            assert abs(got / want - 1) <= 1e-6
