@@ -2,12 +2,7 @@
 distributional (delta-type) potentials on a lasso graph, and recovery of the
 characteristic functions from spectra alone."""
 
-from .charfn import (
-    charfn,
-    charfn_dirichlet,
-    charfn_for,
-    weyl,
-)
+from .charfn import charfn_for, weyl
 from .graph import (
     EdgeSpec,
     GraphSpec,

@@ -51,20 +51,8 @@ def assemble(fs, j: int):
     return (-1) ** len(ends) * (fs[0].S * star + cyc * prod)
 
 
-def charfn(graph, lam):
-    """Characteristic function of the full problem (Neumann pendant ends)."""
-    graph = validate(graph)
-    return assemble(_solutions(graph, lam), 0)
-
-
-def charfn_dirichlet(graph, j: int, lam):
-    """Characteristic function with pendant j pinned (Dirichlet at its end)."""
-    graph = validate(graph)
-    graph.check_pendant_index(j)
-    return assemble(_solutions(graph, lam), j)
-
-
 def charfn_for(graph, problem: Problem, lam):
+    """Characteristic function of L (Problem.neumann()) or Lj (Problem.dirichlet(j))."""
     graph = validate(graph)
     problem.check(graph)
     return assemble(_solutions(graph, lam), problem.j)
@@ -74,7 +62,7 @@ def weyl(graph, j: int, lam: float) -> float:
     """Weyl function: ratio of the pinned to the full characteristic function."""
     graph = validate(graph)
     graph.check_pendant_index(j)
-    den = charfn(graph, lam)
+    den = charfn_for(graph, Problem.neumann(), lam)
     if abs(den) < NEARPOLE_COEF * (1.0 + abs(lam)):
         raise NearPole(f"lambda = {lam} is within tolerance of the spectrum")
-    return charfn_dirichlet(graph, j, lam) / den
+    return charfn_for(graph, Problem.dirichlet(j), lam) / den

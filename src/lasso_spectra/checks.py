@@ -62,7 +62,7 @@ def free_closed_form(graph, problem: Problem, frame, rho) -> Check:
     """The exact free expansion against the propagated zero-potential twin."""
     start = time.perf_counter()
     direct = charfn_for(graph.with_zero_potential(), problem, rho * rho)
-    closed = frame.eval_rho(rho)
+    closed = frame.eval_lambda(rho * rho)
     scale = np.max(np.abs(closed)) or 1.0
     dev = float(np.max(np.abs(direct - closed)) / scale)
     return _check("free_closed_form", start, dev, CLOSED_FORM_TOL, {"max_relative_deviation": dev})

@@ -77,6 +77,19 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _write_pair(csv_text: str, blob: dict, out: str | None, json_suffix: str):
+    """With --out: out.csv, out + json_suffix and the JSON on stdout.
+    Without: the CSV on stdout and the JSON on stderr."""
+    json_text = json.dumps(blob, indent=2) + "\n"
+    if out:
+        Path(out + ".csv").write_text(csv_text)
+        Path(out + json_suffix).write_text(json_text)
+        sys.stdout.write(json_text)
+    else:
+        sys.stdout.write(csv_text)
+        sys.stderr.write(json_text)
+
+
 def cmd_charfn(args) -> int:
     graph, _ = graph_from_json(args.config)
     problem = _problem_from_args(args, graph)
@@ -104,8 +117,7 @@ def cmd_eigs(args) -> int:
     graph, _ = graph_from_json(args.config)
     problem = _problem_from_args(args, graph)
     if args.rho_max <= 0:
-        catalog_csv = "n,k,lambda,rho,rho0,eps,multiplicity\n"
-        frame_json = json.dumps(frame_to_json(build_frame(graph, problem)), indent=2) + "\n"
+        catalog_csv, frame = "n,k,lambda,rho,rho0,eps,multiplicity\n", build_frame(graph, problem)
     else:
         catalog = compute_catalog(graph, problem, args.rho_max)
         for entry in catalog.window_violations:
@@ -114,15 +126,8 @@ def cmd_eigs(args) -> int:
                 "from its grid point (low-spectrum window exceeded)",
                 errors.WindowViolationWarning,
             )
-        catalog_csv = catalog_to_csv(catalog)
-        frame_json = json.dumps(frame_to_json(catalog.frame), indent=2) + "\n"
-    if args.out:
-        Path(args.out + ".csv").write_text(catalog_csv)
-        Path(args.out + ".frame.json").write_text(frame_json)
-        sys.stdout.write(frame_json)
-    else:
-        sys.stdout.write(catalog_csv)
-        sys.stderr.write(frame_json)
+        catalog_csv, frame = catalog_to_csv(catalog), catalog.frame
+    _write_pair(catalog_csv, frame_to_json(frame), args.out, ".frame.json")
     return 0
 
 
@@ -149,14 +154,7 @@ def cmd_reconstruct(args) -> int:
         "leading_const": result.leading_const,
         "max_error": max_error,
     }
-    summary_json = json.dumps(summary, indent=2) + "\n"
-    if args.out:
-        Path(args.out + ".csv").write_text(csv_text)
-        Path(args.out + ".summary.json").write_text(summary_json)
-        sys.stdout.write(summary_json)
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(summary_json)
+    _write_pair(csv_text, summary, args.out, ".summary.json")
     return 0
 
 

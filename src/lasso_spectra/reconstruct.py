@@ -73,10 +73,7 @@ def _truncation_entries(catalog: SpectrumCatalog, frame: AsymptoticFrame, n_max:
         raise InsufficientCatalog(
             f"catalog (rho_max = {catalog.rho_max}) does not cover |n| <= {n_max}"
         )
-    wanted = {}
-    for fam in frame.families:
-        for n in fam.n_values_truncation(n_max):
-            wanted[(fam.index, n)] = True
+    wanted = frame.truncation_slots(n_max)
     picked = [e for e in catalog.entries if (e.k, e.n) in wanted]
     # Near-cancelling factor pairs first: ascending |n|, families interleaved.
     picked.sort(key=lambda e: (abs(e.n), e.k, e.n))
@@ -109,7 +106,7 @@ def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
         if not shifts:
             continue
         c = float(np.mean(shifts)) / frame.tau  # per unit of rho0 along the family
-        sides = (1, -1) if fam.n_values_truncation(n_max).start < 0 else (1,)
+        sides = (1, -1) if fam.first is None else (1,)
         for side in sides:
             u0 = 0.5 * (fam.rho0(side * n_max, frame.tau) + fam.rho0(side * (n_max + 1), frame.tau))
             out += c * _tail_integral(u0, lam)

@@ -156,12 +156,7 @@ class SpectrumCatalog:
         return sorted(e.lam for e in self.entries)
 
     def covers_truncation(self, n_max: int) -> bool:
-        have = {(e.k, e.n) for e in self.entries}
-        for fam in self.frame.families:
-            for n in fam.n_values_truncation(n_max):
-                if (fam.index, n) not in have:
-                    return False
-        return True
+        return self.frame.truncation_slots(n_max) <= {(e.k, e.n) for e in self.entries}
 
 
 def catalog_spectrum(

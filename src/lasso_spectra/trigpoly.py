@@ -13,15 +13,16 @@ rational, so cancellations are exact.
 The frame records the smallest period tau, the zeros of the periodic
 polynomial on [0, tau/2] with multiplicities, and the multiplicity mu0 of the
 zero eigenvalue (counted in lambda). Together these generate the unperturbed
-eigenvalue grid rho0_nk:
+eigenvalue grid by one rule, rho0_nk = |tau n + alpha_k|, where n runs over Z
+(two-sided) or from a first index on (one-sided):
 
-  - mu0 two-sided families at alpha = 0 (rho0 = |tau n|, n in Z), so interior
-    lattice points tau n carry their full multiplicity 2 mu0;
-  - for the pinned (sinc) flavor one extra one-sided family {tau n, n >= 1},
+  - mu0 two-sided families at alpha = 0, so interior lattice points tau n
+    carry their full multiplicity 2 mu0;
+  - for the pinned (sinc) flavor one extra family at alpha = 0 from n = 1,
     since rho * d_0 has odd multiplicity at 0;
-  - two-sided families |tau n + alpha| for each interior zero alpha;
-  - folded one-sided families tau n + tau/2 when tau/2 is a zero (always the
-    case for the sinc flavor; warned for the cosine flavor).
+  - mult two-sided families at each interior zero alpha;
+  - half_mult families at alpha = tau/2 from n = 0 when tau/2 is a zero
+    (always the case for the sinc flavor; warned for the cosine flavor).
 """
 
 from __future__ import annotations
@@ -221,41 +222,28 @@ def _is_zero_at(poly: TrigPoly, x: float) -> bool:
 
 @dataclass(frozen=True)
 class Family:
-    """One branch of the unperturbed eigenvalue grid."""
+    """One branch of the unperturbed eigenvalue grid, rho0 = |tau n + alpha|.
+
+    first is None for a two-sided family (n in Z), else its lowest n: 1 for
+    the sinc zero family {tau n}, 0 for the folded tau/2 family.
+    """
 
     index: int
     alpha: float
-    kind: str  # "zero2" | "zero1" | "interior" | "half"
+    first: int | None
     mu: int  # reported multiplicity of the underlying base zero
 
     def rho0(self, n: int, tau: float) -> float:
-        if self.kind == "zero2":
-            return abs(tau * n)
-        if self.kind == "zero1":
-            return tau * n
-        if self.kind == "interior":
-            return abs(tau * n + self.alpha)
-        return tau * n + self.alpha  # half: alpha = tau/2, n >= 0
+        return abs(tau * n + self.alpha)
 
     def n_values(self, tau: float, rho_max: float) -> range:
-        if self.kind == "zero2":
-            nmax = int(math.floor(rho_max / tau + 1e-12))
-            return range(-nmax, nmax + 1)
-        if self.kind == "zero1":
-            return range(1, int(math.floor(rho_max / tau + 1e-12)) + 1)
-        if self.kind == "interior":
-            lo = int(math.ceil((-rho_max - self.alpha) / tau - 1e-12))
-            hi = int(math.floor((rho_max - self.alpha) / tau + 1e-12))
-            return range(lo, hi + 1)
         hi = int(math.floor((rho_max - self.alpha) / tau + 1e-12))
-        return range(0, hi + 1)
+        if self.first is not None:
+            return range(self.first, hi + 1)
+        return range(int(math.ceil((-rho_max - self.alpha) / tau - 1e-12)), hi + 1)
 
     def n_values_truncation(self, n_max: int) -> range:
-        if self.kind == "zero2" or self.kind == "interior":
-            return range(-n_max, n_max + 1)
-        if self.kind == "zero1":
-            return range(1, n_max + 1)
-        return range(0, n_max + 1)
+        return range(-n_max if self.first is None else self.first, n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -263,31 +251,30 @@ class AsymptoticFrame:
     """Period, base zeros, and family structure of an unperturbed spectrum."""
 
     tau: float
-    flavor: str  # "cos" | "sinc"
     poly: TrigPoly  # d_0 itself (cos) or rho * d_0 (sinc); periodic either way
     mu0: int
     interior: tuple[tuple[float, int], ...]  # (alpha, mult) on (0, tau/2)
     half_mult: int  # poly multiplicity at tau/2 (0 if not a zero)
-    half_period_zero: bool
+
+    @property
+    def flavor(self) -> str:
+        return "cos" if self.poly.kind == "cos" else "sinc"
+
+    @property
+    def half_period_zero(self) -> bool:
+        """tau/2 is a zero of d_0 of L: the case the theory excludes."""
+        return self.flavor == "cos" and self.half_mult > 0
 
     @property
     def families(self) -> tuple[Family, ...]:
-        fams: list[Family] = []
-        k = 0
-        for _ in range(self.mu0):
-            fams.append(Family(k, 0.0, "zero2", self.mu0))
-            k += 1
+        """Zero families, the sinc zero family, interior, then tau/2 families."""
+        fams = [(0.0, None, self.mu0)] * self.mu0
         if self.flavor == "sinc":
-            fams.append(Family(k, 0.0, "zero1", max(self.mu0, 1)))
-            k += 1
+            fams.append((0.0, 1, max(self.mu0, 1)))
         for alpha, mult in self.interior:
-            for _ in range(mult):
-                fams.append(Family(k, alpha, "interior", mult))
-                k += 1
-        for _ in range(self.half_mult):
-            fams.append(Family(k, self.tau / 2.0, "half", self.half_mult))
-            k += 1
-        return tuple(fams)
+            fams += [(alpha, None, mult)] * mult
+        fams += [(self.tau / 2.0, 0, self.half_mult)] * self.half_mult
+        return tuple(Family(k, *fam) for k, fam in enumerate(fams))
 
     def alphas_report(self) -> list[tuple[float, int]]:
         """Distinct base zeros of d_0 on [0, tau/2] with reported multiplicity."""
@@ -327,34 +314,26 @@ class AsymptoticFrame:
         out.sort(key=lambda t: (t[2], t[0], t[1]))
         return out
 
-    def eval_rho(self, rho):
-        """d_0 evaluated at real rho."""
-        return self.eval_lambda(np.asarray(rho, dtype=float) ** 2)
+    def truncation_slots(self, n_max: int) -> set[tuple[int, int]]:
+        """The (k, n) slots of the product truncated at |n| <= n_max."""
+        return {(f.index, n) for f in self.families for n in f.n_values_truncation(n_max)}
 
     def eval_lambda(self, lam):
         """d_0 as an entire function of lambda (cos/sinc terms via phi0/phi1)."""
         lam = np.asarray(lam, dtype=float)
         out = np.zeros_like(lam)
         for f, c in zip(self.poly.freqs, self.poly.coefs):
-            h = float(f) * self.poly.unit
-            if h == 0.0:
-                term = c if self.flavor == "cos" else 0.0
-                out = out + term
-                continue
-            phi0, phi1 = phi_pair(lam, h)
+            phi0, phi1 = phi_pair(lam, float(f) * self.poly.unit)
             out = out + c * (phi0 if self.flavor == "cos" else phi1)
         return float(out) if out.ndim == 0 else out
 
     def lambda_deriv_at_zero(self, order: int) -> float:
         """order-th lambda-derivative of d_0 at lambda = 0 (exact Taylor)."""
-        r = order
+        r, e = order, self.flavor == "sinc"
         total = 0.0
         for f, c in zip(self.poly.freqs, self.poly.coefs):
             h = float(f) * self.poly.unit
-            if self.flavor == "cos":
-                total += c * (-1.0) ** r * h ** (2 * r) / math.factorial(2 * r)
-            else:
-                total += c * (-1.0) ** r * h ** (2 * r + 1) / math.factorial(2 * r + 1)
+            total += c * (-1.0) ** r * h ** (2 * r + e) / math.factorial(2 * r + e)
         return total * math.factorial(r)
 
 
@@ -367,48 +346,42 @@ def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
     cosine flavor, a sine polynomial (rho * d_0 of Lj) the sinc flavor. For
     the cosine flavor a tau/2 zero is the case the theory excludes: it is
     reported as a warning and folded.
+
+    The zeros are counted: with g the frequency gcd and K = max frequency / g,
+    the polynomial has degree K in exp(i g rho), hence 2K zeros per period,
+    and all of them are real (the free operator is self-adjoint). By symmetry
+    the period holds the zero at 0, the zero at tau/2 and each interior zero
+    twice. A frame that misses this count raises UnresolvedMultiplicity.
     """
-    flavor = "cos" if poly.kind == "cos" else "sinc"
     half = tau / 2.0
     n_points = max(1024, int(64 * poly.max_freq() * tau / (2 * math.pi)))
     roots, _ = scan_roots(poly, 0.0, half, n_points)
 
     zero_mult = _multiplicity_at(poly, 0.0) if _is_zero_at(poly, 0.0) else 0
-    half_is_zero = _is_zero_at(poly, half)
-    half_mult = _multiplicity_at(poly, half) if half_is_zero else 0
-
-    if flavor == "cos":
-        if zero_mult % 2:
-            raise UnresolvedMultiplicity(f"odd rho-multiplicity {zero_mult} at 0")
-        mu0 = zero_mult // 2
-        if half_is_zero:
-            warnings.warn(
-                f"tau/2 = {half} is a zero of the reference function; "
-                "its family is folded to one-sided numbering",
-                HalfPeriodZeroWarning,
-                stacklevel=2,
-            )
-    else:
-        if zero_mult % 2 == 0:
-            raise UnresolvedMultiplicity(f"even multiplicity {zero_mult} of the odd polynomial at 0")
-        mu0 = (zero_mult - 1) // 2
+    half_mult = _multiplicity_at(poly, half) if _is_zero_at(poly, half) else 0
+    if zero_mult % 2 != (poly.kind == "sin"):
+        raise UnresolvedMultiplicity(f"multiplicity {zero_mult} at 0 of the {poly.kind} polynomial")
 
     margin = 1e-7 * tau
-    interior: list[tuple[float, int]] = []
-    for x, _ in roots:
-        if x <= margin or x >= half - margin:
-            continue
-        interior.append((x, _multiplicity_at(poly, x)))
-
-    return AsymptoticFrame(
-        tau=tau,
-        flavor=flavor,
-        poly=poly,
-        mu0=mu0,
-        interior=tuple(interior),
-        half_mult=half_mult,
-        half_period_zero=(flavor == "cos" and half_is_zero),
+    interior = tuple(
+        (x, _multiplicity_at(poly, x)) for x, _ in roots if margin < x < half - margin
     )
+    count = zero_mult + half_mult + 2 * sum(m for _, m in interior)
+    per_period = 2 * max(poly.freqs) / poly.freq_gcd()
+    if count != per_period:
+        raise UnresolvedMultiplicity(
+            f"{count} zeros per period resolved with multiplicity, {per_period} expected"
+        )
+
+    frame = AsymptoticFrame(tau, poly, zero_mult // 2, interior, half_mult)
+    if frame.half_period_zero:
+        warnings.warn(
+            f"tau/2 = {half} is a zero of the reference function; "
+            "its family is folded to one-sided numbering",
+            HalfPeriodZeroWarning,
+            stacklevel=2,
+        )
+    return frame
 
 
 def build_frame(graph: ValidatedGraph, problem: Problem) -> AsymptoticFrame:

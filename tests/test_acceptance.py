@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from lasso_spectra import checks
-from lasso_spectra.charfn import charfn, weyl
+from lasso_spectra.charfn import charfn_for, weyl
 from lasso_spectra.errors import NearPole
 from lasso_spectra.graph import EdgeSpec, Problem, delta_potential, zero_potential
 from lasso_spectra.propagate import fundamental_solutions
@@ -158,7 +158,7 @@ def test_criterion_9_weyl_consistency(delta_lasso):
     gap = frame.window()
 
     def d(rho):
-        return charfn(delta_lasso, np.asarray(rho) ** 2)
+        return charfn_for(delta_lasso, Problem.neumann(), np.asarray(rho) ** 2)
 
     worst = 0.0
     checked = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from free_reference import free_charfn, free_charfn_dirichlet
 
-from lasso_spectra.charfn import charfn, charfn_dirichlet, charfn_for, weyl
+from lasso_spectra.charfn import assemble, charfn_for, weyl
 from lasso_spectra.errors import BadIndex, NearPole
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
 from lasso_spectra.propagate import fundamental_solutions
@@ -23,19 +23,19 @@ def test_cycle_charfn_free(unit_lasso_p1):
 def test_charfn_p2_frozen_value():
     g2 = lasso_graph(1, [1, 1])
     want = math.sin(1) * (-math.sin(2)) + 2 * (math.cos(1) - 1) * math.cos(1) ** 2
-    assert abs(charfn(g2, 1.0) - want) < 1e-13
+    assert abs(charfn_for(g2, Problem.neumann(), 1.0) - want) < 1e-13
 
 
 def test_charfn_vanishes_at_zero_for_free_graph():
     for g in (lasso_graph(1, [1, 1]), lasso_graph("1/2", ["3/4", 1, 2])):
-        assert abs(charfn(g, 0.0)) < 1e-14
+        assert abs(charfn_for(g, Problem.neumann(), 0.0)) < 1e-14
 
 
 def test_charfn_p1_closed_form(unit_lasso_p1):
     rho = np.linspace(0.0, 30.0, 301)
     c = np.cos(rho)
     want = (1 - c) * (3 * c + 1)
-    got = charfn(unit_lasso_p1, rho**2)
+    got = charfn_for(unit_lasso_p1, Problem.neumann(), rho**2)
     assert np.max(np.abs(got - want)) < 1e-11
 
 
@@ -43,28 +43,28 @@ def test_charfn_dirichlet_p1_closed_form(unit_lasso_p1):
     # Hand-derived secular determinant: zeros at sin(rho) = 0 and cos(rho) = 2/3.
     rho = np.linspace(0.1, 30.0, 301)
     want = -(np.sin(rho) / rho) * (3 * np.cos(rho) - 2)
-    got = charfn_dirichlet(unit_lasso_p1, 1, rho**2)
+    got = charfn_for(unit_lasso_p1, Problem.dirichlet(1), rho**2)
     assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_charfn_dirichlet_nonzero_at_lambda_zero(unit_lasso_p1):
     # Dirichlet at the pendant end excludes constants: 0 is not an eigenvalue.
-    assert abs(charfn_dirichlet(unit_lasso_p1, 1, 0.0) + 1.0) < 1e-14
+    assert abs(charfn_for(unit_lasso_p1, Problem.dirichlet(1), 0.0) + 1.0) < 1e-14
 
 
 def test_assembly_identity_for_dirichlet():
     g = lasso_graph(1, [1, 1, 2], potentials=None)
     lam = 3.7
     want = free_charfn_dirichlet(g, 2, math.sqrt(lam))
-    assert abs(charfn_dirichlet(g, 2, lam) - want) < 1e-13
+    assert abs(charfn_for(g, Problem.dirichlet(2), lam) - want) < 1e-13
 
 
 def test_bad_index():
     g = lasso_graph(1, [1, 1])
     with pytest.raises(BadIndex):
-        charfn_dirichlet(g, 3, 1.0)
+        charfn_for(g, Problem.dirichlet(3), 1.0)
     with pytest.raises(BadIndex):
-        charfn_dirichlet(g, 0, 1.0)
+        charfn_for(g, Problem.dirichlet(0), 1.0)
     with pytest.raises(BadIndex):
         charfn_for(g, Problem("neumann", 1), 1.0)
     with pytest.raises(BadIndex):
@@ -80,7 +80,7 @@ def test_free_charfn_pi_lasso_value(pi_lasso):
 def test_free_charfn_matches_assembled_on_zero_potential(pi_lasso):
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.0, 50.0, size=100)
-    direct = charfn(pi_lasso, rho**2)
+    direct = charfn_for(pi_lasso, Problem.neumann(), rho**2)
     closed = free_charfn(pi_lasso, rho)
     assert np.max(np.abs(direct - closed)) <= 1e-12 * np.max(np.abs(closed))
 
@@ -88,7 +88,7 @@ def test_free_charfn_matches_assembled_on_zero_potential(pi_lasso):
 def test_free_charfn_dirichlet_matches_assembled(pi_lasso):
     rng = np.random.default_rng(4)
     rho = rng.uniform(0.0, 40.0, size=100)
-    direct = charfn_dirichlet(pi_lasso, 1, rho**2)
+    direct = charfn_for(pi_lasso, Problem.dirichlet(1), rho**2)
     closed = free_charfn_dirichlet(pi_lasso, 1, rho)
     assert np.max(np.abs(direct - closed)) <= 1e-12 * np.max(np.abs(closed))
 
@@ -103,7 +103,7 @@ def test_evenness_in_rho(pi_lasso):
 
 def test_sign_convention_p_even():
     g = lasso_graph(1, [1, 1])
-    assert charfn(g, -50.0) > 0.0  # (-1)^p = +1 dominates as lambda -> -inf
+    assert charfn_for(g, Problem.neumann(), -50.0) > 0.0  # (-1)^p = +1 dominates as lambda -> -inf
 
 
 @pytest.mark.parametrize("lam,tol", [(-1e3, 1e-2), (-1e4, 1e-3)])
@@ -114,7 +114,9 @@ def test_ratio_to_free_tends_to_one(lam, tol):
         1, [1, 1], potentials=[None, delta_potential(1, "1/2", 0.25), None]
     )
     free_twin = g.with_zero_potential()
-    ratio = charfn(g, lam) / charfn(free_twin, lam)
+    ratio = charfn_for(g, Problem.neumann(), lam) / charfn_for(
+        free_twin, Problem.neumann(), lam
+    )
     assert abs(ratio - 1.0) <= tol
 
 
@@ -133,5 +135,6 @@ def test_weyl_near_pole(unit_lasso_p1):
 
 def test_charfn_for_dispatch(pi_lasso):
     lam = 2.2
-    assert charfn_for(pi_lasso, Problem.neumann(), lam) == charfn(pi_lasso, lam)
-    assert charfn_for(pi_lasso, Problem.dirichlet(2), lam) == charfn_dirichlet(pi_lasso, 2, lam)
+    fs = [fundamental_solutions(e, lam, pi_lasso.unit_value) for e in pi_lasso.edges]
+    assert charfn_for(pi_lasso, Problem.neumann(), lam) == assemble(fs, 0)
+    assert charfn_for(pi_lasso, Problem.dirichlet(2), lam) == assemble(fs, 2)

@@ -288,3 +288,14 @@ def test_eigs_window_violation_warns(capsys, tmp_path):
     assert code == 0
     assert len([w for w in record if w.category is WindowViolationWarning]) == 1
     assert "warning: entry" not in err
+
+
+def test_eigs_frame_failing_its_zero_count_exits_3(capsys, tmp_path):
+    # A free lasso whose triple base zero the frame cannot resolve: a numeric
+    # failure of the frame, not a scan too coarse for the catalog (exit 4).
+    cfg = tmp_path / "triple.json"
+    cfg.write_text(json.dumps(graph_to_json(lasso_graph(1, [1, 2, 1, 1], length_unit="pi"))))
+    code, _, err = run(
+        capsys, "eigs", "--config", str(cfg), "--problem", "Lj", "--j", "2", "--rho-max", "10"
+    )
+    assert code == 3 and "zeros per period" in err

@@ -7,7 +7,7 @@ import pytest
 from free_reference import free_charfn_dirichlet
 
 from lasso_spectra import checks
-from lasso_spectra.charfn import assemble, charfn
+from lasso_spectra.charfn import assemble, charfn_for
 from lasso_spectra.errors import DegenerateLeadingTerm, InsufficientCatalog, NearPole
 from lasso_spectra.graph import Problem
 from lasso_spectra.propagate import FundamentalSolution, StateMatrix
@@ -44,12 +44,10 @@ def test_leading_constant_degenerate_guard():
     # mu0 = 1 then contradicts the vanishing derivative and must be reported.
     degenerate = AsymptoticFrame(
         tau=2 * math.pi,
-        flavor="cos",
         poly=TrigPoly("cos", (Fraction(1), Fraction(2)), (4.0, -1.0)),
         mu0=1,
         interior=(),
         half_mult=0,
-        half_period_zero=False,
     )
     with pytest.raises(DegenerateLeadingTerm):
         leading_constant(degenerate)
@@ -92,7 +90,7 @@ def test_reconstruction_zero_structure(delta_catalog_deep, delta_lasso):
     # ... and nowhere else on an off-eigenvalue grid.
     grid = off_eigenvalue_grid(delta_catalog_deep, -4.0, 8.0)
     vals = hadamard_reconstruct(delta_catalog_deep, grid, 100).values
-    direct = charfn(delta_lasso, grid)
+    direct = charfn_for(delta_lasso, Problem.neumann(), grid)
     assert np.min(np.abs(vals)) > 0.0
     assert np.max(np.abs(vals - direct) / np.abs(direct)) <= 1e-3
 
@@ -122,7 +120,7 @@ def test_compare_identical_is_zero(pi_lasso):
 def test_result_csv(delta_catalog_deep, delta_lasso):
     grid = off_eigenvalue_grid(delta_catalog_deep, -1.0, 1.0, 20)
     res = hadamard_reconstruct(delta_catalog_deep, grid, 25)
-    text = compare(res, lambda lam: charfn(delta_lasso, lam)).to_csv()
+    text = compare(res, lambda lam: charfn_for(delta_lasso, Problem.neumann(), lam)).to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "lambda,delta_hat,delta_direct,rel_error"
     assert len(lines) == len(grid) + 1

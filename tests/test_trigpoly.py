@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lasso_spectra.charfn import charfn_for
-from lasso_spectra.errors import ConstantFunction, HalfPeriodZeroWarning
+from lasso_spectra.checks import ORACLE_COUNT, ORACLE_TOL
+from lasso_spectra.errors import ConstantFunction, HalfPeriodZeroWarning, UnresolvedMultiplicity
 from lasso_spectra.graph import Problem, lasso_graph
+from lasso_spectra.oracle import richardson_eigs
 from lasso_spectra.trigpoly import (
     TrigPoly,
     build_frame,
@@ -137,8 +140,9 @@ def test_base_zeros_interior_double():
         round(math.acos(-0.6) / math.pi, 9),
     ]
     assert [m for _, m in report] == [1, 2, 1]
-    kinds = [(f.kind, f.mu) for f in frame.families]
-    assert kinds == [("zero2", 1), ("interior", 2), ("interior", 2), ("interior", 1)]
+    families = [(round(f.alpha, 9), f.first, f.mu) for f in frame.families]
+    third = round(math.acos(-0.6) / math.pi, 9)
+    assert families == [(0.0, None, 1), (0.5, None, 2), (0.5, None, 2), (third, None, 1)]
 
 
 def test_half_period_zero_warned_and_folded():
@@ -148,8 +152,8 @@ def test_half_period_zero_warned_and_folded():
     assert frame.half_period_zero
     assert frame.half_mult == 2
     # Folded families enumerate tau n + tau/2 once each.
-    halves = [f for f in frame.families if f.kind == "half"]
-    assert len(halves) == 2
+    halves = [f for f in frame.families if f.first == 0]
+    assert len(halves) == 2 and all(f.alpha == frame.tau / 2 for f in halves)
     # Zeros on [0, 4]: 0 (one lambda slot), halves (simple), integers (double).
     slots = frame.slots(4.0)
     assert len(slots) == 13
@@ -162,8 +166,8 @@ def test_dirichlet_frame_structure(pi_lasso):
     assert frame.mu0 == 0
     report = frame.alphas_report()
     assert [round(a, 9) for a, _ in report] == [0.2, 0.6, 1.0]
-    kinds = [f.kind for f in frame.families]
-    assert kinds == ["zero1", "interior", "interior", "half"]
+    families = [(f.first, round(f.alpha, 9)) for f in frame.families]
+    assert families == [(1, 0.0), (None, 0.2), (None, 0.6), (0, 1.0)]
     # rho * d0 is odd and periodic, so tau n (n >= 1) are genuine zeros of d0.
     rho = np.array([2.0, 4.0, 6.0])
     assert np.max(np.abs(free_charfn_dirichlet(pi_lasso, 1, rho))) < 1e-12
@@ -178,10 +182,12 @@ def test_dirichlet_expansion_matches_function(pi_lasso):
 
 
 def test_frame_eval_lambda_matches_eval_rho(pi_lasso):
+    # d0 in lambda against the periodic polynomial: d0 itself for L, rho * d0 for Lj.
+    rho = np.linspace(0.0, 8.0, 101)[1:]
     for problem in (Problem.neumann(), Problem.dirichlet(2)):
         frame = build_frame(pi_lasso, problem)
-        rho = np.linspace(0.0, 8.0, 101)
-        assert np.allclose(frame.eval_rho(rho), frame.eval_lambda(rho**2), atol=1e-13)
+        d0 = frame.poly(rho) if frame.flavor == "cos" else frame.poly(rho) / rho
+        assert np.allclose(d0, frame.eval_lambda(rho**2), atol=1e-13)
 
 
 def test_frame_lambda_derivative_at_zero(pi_lasso):
@@ -215,3 +221,50 @@ def test_frame_with_no_interior_zeros():
     assert frame.alphas_report() == [(0.0, 1)]
     assert frame.interior == () and frame.half_mult == 0
     assert frame.delta() == frame.tau / 2.0
+
+
+@pytest.mark.parametrize(
+    "cycle,pendants,unit,j",
+    [
+        ("1/2", [1, 2, 3], "1", 2),  # 34 zeros resolved per period, 26 expected
+        (1, [1, 2, 1, 1], "pi", 2),  # 10 for 12
+        (1, [1, 1, 1, 2], "1", 4),  # 10 for 12
+    ],
+)
+def test_frame_with_wrong_zero_count_raises(cycle, pendants, unit, j):
+    # A triple base zero is split into two doubles, or kept as one misplaced
+    # double. Either way the frame misses the 2K zeros per period.
+    with pytest.raises(UnresolvedMultiplicity, match="zeros per period"):
+        build_frame(lasso_graph(cycle, pendants, length_unit=unit), Problem.dirichlet(j))
+
+
+FREE_LENGTHS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+
+
+@st.composite
+def free_lasso_problems(draw):
+    """A free lasso whose lengths often repeat (multiple base zeros), and L or an Lj."""
+    pool = draw(st.lists(FREE_LENGTHS, min_size=1, max_size=2))
+    lengths = draw(st.lists(st.one_of(st.sampled_from(pool), FREE_LENGTHS), min_size=2, max_size=5))
+    g = lasso_graph(lengths[0], lengths[1:], length_unit=draw(st.sampled_from(["1", "pi"])))
+    j = draw(st.integers(0, g.p))
+    return g, Problem.dirichlet(j) if j else Problem.neumann()
+
+
+@settings(max_examples=25, deadline=None)
+@given(free_lasso_problems())
+def test_frame_grid_matches_the_oracle(case):
+    # At zero potential the grid rho0 = |tau n + alpha| is the spectrum itself.
+    g, problem = case
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HalfPeriodZeroWarning)  # folded families are tested too
+            frame = build_frame(g, problem)
+    except UnresolvedMultiplicity:
+        return
+    rho_max = frame.tau
+    while len(frame.slots(rho_max)) < ORACLE_COUNT:
+        rho_max += frame.tau
+    grid = np.array(sorted(r * r for _, _, r in frame.slots(rho_max))[:ORACLE_COUNT])
+    oracle = richardson_eigs(g, problem, ORACLE_COUNT, 60.0)
+    assert np.max(np.abs(grid - oracle) / np.maximum(1.0, np.abs(oracle))) <= ORACLE_TOL
