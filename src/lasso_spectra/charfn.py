@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from .errors import NearPole
 from .graph import Problem, ValidatedGraph, validate
-from .propagate import FundamentalSolution, fundamental_solutions
+from .propagate import FundamentalSolution, fundamental_solutions, phi_table
 
 # Scale-aware cutoff for pole detection in the Weyl function.
 NEARPOLE_COEF = 1e-9
 
 
 def _solutions(graph: ValidatedGraph, lam) -> list[FundamentalSolution]:
-    u = graph.unit_value
-    return [fundamental_solutions(e, lam, u) for e in graph.edges]
+    phis = phi_table([h for segs in graph.segments for _, h in segs], lam)
+    return [fundamental_solutions(segs, lam, phis) for segs in graph.segments]
 
 
 def assemble(fs, j: int):

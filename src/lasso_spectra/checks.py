@@ -52,8 +52,8 @@ def _error(name, start, bound, message) -> Check:
 def wronskian(graph, lam) -> Check:
     start = time.perf_counter()
     worst = max(
-        float(np.max(np.abs(fundamental_solutions(e, lam, graph.unit_value).wronskian() - 1.0)))
-        for e in graph.edges
+        float(np.max(np.abs(fundamental_solutions(segs, lam).wronskian() - 1.0)))
+        for segs in graph.segments
     )
     return _check("wronskian", start, worst, WRONSKIAN_TOL, {"max_deviation": worst})
 
@@ -78,18 +78,23 @@ def periodicity(frame, rho) -> Check:
 def catalog_bijection(graph, problem: Problem, rho_max: float):
     """(check, catalog): the catalog fills every grid slot up to rho_max, and
     each eigenvalue >= 0 lies within half the grid gap of its slot. value is
-    the entry count, bound the slot count; the catalog is None if it failed."""
+    the largest |eps| at lambda >= 0 over half the gap (0.0 without such an
+    entry), held below 1; the catalog is None if it failed. A catalog that
+    exists always fills its slots (compute_catalog raises otherwise)."""
     start = time.perf_counter()
     try:
         catalog = compute_catalog(graph, problem, rho_max)
     except SpectraError as exc:
-        return _error("catalog_bijection", start, None, str(exc)), None
-    slots, entries = len(catalog.frame.slots(rho_max)), len(catalog.entries)
+        return _error("catalog_bijection", start, 1.0, str(exc)), None
     half_gap = catalog.frame.delta() / 2.0
-    window_ok = all(abs(e.eps) < half_gap for e in catalog.entries if e.lam >= 0.0)
-    detail = {"entries": entries, "grid_points": slots, "windows_ok": window_ok}
-    passed = entries == slots and window_ok
-    return _check("catalog_bijection", start, entries, slots, detail, passed), catalog
+    eps = [abs(e.eps) for e in catalog.entries if e.lam >= 0.0]
+    value = max(eps, default=0.0) / half_gap
+    detail = {
+        "entries": len(catalog.entries),
+        "grid_points": len(catalog.frame.slots(rho_max)),
+        "windows_ok": all(x < half_gap for x in eps),
+    }
+    return _check("catalog_bijection", start, value, 1.0, detail, value < 1.0), catalog
 
 
 def oracle_agreement(graph, problem: Problem, catalog, points_per_unit: float = 60.0) -> Check:

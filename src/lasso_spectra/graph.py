@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,13 @@ class EdgeSpec:
         if self.role not in ("cycle", "pendant"):
             raise BadBreakpoints(f"unknown edge role {self.role!r}")
 
+    def segments(self, unit: float = 1.0) -> tuple[tuple[float, float], ...]:
+        """The constant-sigma pieces as float (sigma, physical length) pairs."""
+        bp = self.potential.breakpoints
+        return tuple(
+            (sigma, float(hi - lo) * unit) for sigma, lo, hi in zip(self.potential.values, bp, bp[1:])
+        )
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -132,6 +140,11 @@ class ValidatedGraph:
     @property
     def unit_value(self) -> float:
         return UNITS[self.length_unit]
+
+    @cached_property
+    def segments(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """Every edge's (sigma, h) segments, compiled once per graph."""
+        return tuple(e.segments(self.unit_value) for e in self.edges)
 
     @property
     def cycle(self) -> EdgeSpec:

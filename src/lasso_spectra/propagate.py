@@ -8,6 +8,10 @@ the entire-in-lambda cosine/sinc pair. Multiplying segment propagators gives the
 endpoint values of the fundamental solutions C (state (1,0) at x=0) and S
 (state (0,1)) with no discretization error beyond rounding.
 
+Edges enter as float (sigma, h) segments, compiled once per graph
+(ValidatedGraph.segments). One evaluation computes phi_pair once per distinct
+segment length (phi_table) and shares it across all edges.
+
 All functions accept a scalar or ndarray lambda and are pure.
 """
 
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .graph import EdgeSpec
 
 # Below this |lambda| h^2 the closed forms lose digits to the removable
 # singularity of sin(rho h)/rho; a 5-term Taylor series is exact to ~1e-16.
@@ -76,22 +78,32 @@ class StateMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    @staticmethod
-    def identity() -> "StateMatrix":
-        return StateMatrix(1.0, 0.0, 0.0, 1.0)
+
+def _lam_value(lam):
+    """A float for scalar lambda, a float ndarray otherwise."""
+    lam_arr = np.asarray(lam, dtype=float)
+    return float(lam_arr) if lam_arr.ndim == 0 else lam_arr
+
+
+def phi_table(lengths, lam) -> dict:
+    """phi_pair(lam, h) once for each distinct segment length h."""
+    lam = _lam_value(lam)
+    return {h: phi_pair(lam, h) for h in set(lengths)}
+
+
+def _step(sigma: float, lam, phi0, phi1) -> StateMatrix:
+    return StateMatrix(
+        phi0 + phi1 * sigma,
+        phi1,
+        -phi1 * (sigma * sigma + lam),
+        phi0 - phi1 * sigma,
+    )
 
 
 def step_matrix(sigma: float, h: float, lam) -> StateMatrix:
     """Propagator over one constant-sigma segment: phi0 I + phi1 A."""
-    lam_arr = np.asarray(lam, dtype=float)
-    lam_val = float(lam_arr) if lam_arr.ndim == 0 else lam_arr
-    phi0, phi1 = phi_pair(lam_val, h)
-    return StateMatrix(
-        phi0 + phi1 * sigma,
-        phi1,
-        -phi1 * (sigma * sigma + lam_val),
-        phi0 - phi1 * sigma,
-    )
+    lam = _lam_value(lam)
+    return _step(sigma, lam, *phi_pair(lam, h))
 
 
 @dataclass(frozen=True)
@@ -107,10 +119,18 @@ class FundamentalSolution:
         return self.C * self.S1 - self.C1 * self.S
 
 
-def fundamental_solutions(edge: EdgeSpec, lam, unit: float = 1.0) -> FundamentalSolution:
-    """Ordered product of segment propagators; its columns are (C, C1) and (S, S1)."""
-    m = StateMatrix.identity()
-    bp = edge.potential.breakpoints
-    for sigma, lo, hi in zip(edge.potential.values, bp, bp[1:]):
-        m = step_matrix(sigma, float(hi - lo) * unit, lam) @ m
+def fundamental_solutions(segments, lam, phis=None) -> FundamentalSolution:
+    """Ordered product of the propagators of an edge's compiled (sigma, h)
+    segments (EdgeSpec.segments); its columns are (C, C1) and (S, S1).
+
+    phis is a phi_table at this lambda covering every h, shared by the edges
+    of one evaluation; without it the table is built here.
+    """
+    lam = _lam_value(lam)
+    if phis is None:
+        phis = phi_table([h for _, h in segments], lam)
+    (sigma, h), *rest = segments
+    m = _step(sigma, lam, *phis[h])
+    for sigma, h in rest:
+        m = _step(sigma, lam, *phis[h]) @ m
     return FundamentalSolution(C=m.a, C1=m.c, S=m.b, S1=m.d)

@@ -29,6 +29,10 @@ The result also carries ratio, the factor product times the tail estimate:
 recovered over free, so values = d0 * ratio. It stays inside float range at
 deeply negative lambda, where d0 and the recovered function each grow like
 exp(sqrt(|lambda|) * total length) and overflow on their own.
+
+The factor product is evaluated as (moved entries x grid block) arrays of
+about BLOCK_DOUBLES, reduced row by row in entry order, and the flagged points
+come from one search over the sorted lambda0_nk.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ from .trigpoly import AsymptoticFrame
 # grid points within GRID_EIG_TOL of a lambda0_nk are flagged singular.
 SNAP_ZERO = 1e-12
 GRID_EIG_TOL = 1e-10
+# The factor product works on (moved entries x grid block) arrays of about
+# this many doubles.
+BLOCK_DOUBLES = 1_000_000
 
 
 def leading_constant(frame: AsymptoticFrame) -> float:
@@ -114,15 +121,32 @@ def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
 
 
 def _factor_product(entries, lam):
-    """The ratio factors of all entries moved off their grid point."""
-    out = np.ones_like(lam)
-    for e in entries:
-        lam0 = e.rho0 * e.rho0
-        if abs(e.lam - lam0) <= SNAP_ZERO:
-            continue  # unmoved eigenvalue: factor is exactly 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out *= (e.lam - lam) / (lam0 - lam)
+    """The ratio factors of all entries moved off their grid point, one row
+    per entry over a block of the grid, multiplied row by row in entry order."""
+    lam_e = np.array([e.lam for e in entries], dtype=float)
+    lam0 = np.array([e.rho0 * e.rho0 for e in entries], dtype=float)
+    moved = ~(np.abs(lam_e - lam0) <= SNAP_ZERO)  # an unmoved factor is exactly 1
+    lam_e, lam0 = lam_e[moved, None], lam0[moved, None]
+    out = np.empty_like(lam)
+    width = max(1, BLOCK_DOUBLES // max(1, lam_e.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, lam.size, width):
+            block = lam[start : start + width]
+            factors = lam_e - block
+            factors /= lam0 - block
+            out[start : start + width] = np.multiply.reduce(factors, axis=0)
     return out
+
+
+def _flagged(entries, grid):
+    """Grid points within GRID_EIG_TOL of some lambda0: the nearest lambda0 on
+    either side of each point decides."""
+    lam0 = np.sort([e.rho0 * e.rho0 for e in entries])
+    lam0 = np.concatenate([[-np.inf], lam0, [np.inf]])
+    right = np.minimum(np.searchsorted(lam0, grid), lam0.size - 1)
+    with np.errstate(invalid="ignore"):
+        near_left = np.abs(grid - lam0[right - 1]) < GRID_EIG_TOL
+        return near_left | (np.abs(grid - lam0[right]) < GRID_EIG_TOL)
 
 
 def hadamard_reconstruct(
@@ -136,10 +160,7 @@ def hadamard_reconstruct(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     entries = _truncation_entries(catalog, frame, n_max)
 
-    flagged = np.zeros(grid.shape, dtype=bool)
-    for e in entries:
-        lam0 = e.rho0 * e.rho0
-        flagged |= np.abs(grid - lam0) < GRID_EIG_TOL
+    flagged = _flagged(entries, grid)
     d0 = np.asarray(frame.eval_lambda(grid), dtype=float)
     ratio = _factor_product(entries, grid) * np.exp(_log_tail(entries, frame, n_max, grid))
     ratio[flagged] = np.nan

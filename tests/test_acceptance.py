@@ -45,7 +45,7 @@ def test_criterion_1_fundamental_solution_exactness():
     for unit in (1.0, math.pi):
         edge = EdgeSpec(1, 1, "pendant", zero_potential(1))
         rho = np.linspace(1e-3, 100.0 / unit, 2001)  # rho |e| <= 100
-        f = fundamental_solutions(edge, rho**2, unit=unit)
+        f = fundamental_solutions(edge.segments(unit), rho**2)
         refs = (
             np.cos(rho * unit),
             np.sin(rho * unit) / rho,
@@ -69,7 +69,7 @@ def test_criterion_2_wronskian():
         pos = f"{rng.integers(1, 10)}/10"
         edge = EdgeSpec(1, 1, "pendant", delta_potential(1, pos, c))
         lam = float(rng.uniform(-4.0, 400.0))
-        f = fundamental_solutions(edge, lam, unit=float(rng.choice([1.0, 0.5, math.pi])))
+        f = fundamental_solutions(edge.segments(float(rng.choice([1.0, 0.5, math.pi]))), lam)
         worst = max(worst, abs(f.wronskian() - 1.0))
     crit.finish(worst <= checks.WRONSKIAN_TOL, f"max |W-1| = {worst:.2e}")
 
@@ -105,7 +105,8 @@ def test_criterion_5_rouche_count(delta_lasso):
     check, _ = checks.catalog_bijection(delta_lasso, Problem.neumann(), 10.0 * frame.tau)
     crit.finish(
         check.passed,
-        f"{check.value} roots vs {check.bound} grid points, delta/2 = {frame.delta() / 2:.4f}",
+        f"{check.detail['entries']} roots vs {check.detail['grid_points']} grid points, "
+        f"max |eps| = {check.value:.3g} x delta/2 = {frame.delta() / 2:.4f}",
     )
 
 

@@ -12,7 +12,7 @@ from lasso_spectra.propagate import fundamental_solutions
 
 def test_cycle_charfn_free(unit_lasso_p1):
     def cycle(lam):
-        f0 = fundamental_solutions(unit_lasso_p1.cycle, lam, unit_lasso_p1.unit_value)
+        f0 = fundamental_solutions(unit_lasso_p1.segments[0], lam)
         return f0.C + f0.S1 - 2.0
 
     assert abs(cycle((2 * math.pi) ** 2)) < 1e-12
@@ -135,6 +135,6 @@ def test_weyl_near_pole(unit_lasso_p1):
 
 def test_charfn_for_dispatch(pi_lasso):
     lam = 2.2
-    fs = [fundamental_solutions(e, lam, pi_lasso.unit_value) for e in pi_lasso.edges]
+    fs = [fundamental_solutions(segs, lam) for segs in pi_lasso.segments]
     assert charfn_for(pi_lasso, Problem.neumann(), lam) == assemble(fs, 0)
     assert charfn_for(pi_lasso, Problem.dirichlet(2), lam) == assemble(fs, 2)

@@ -10,8 +10,9 @@ import pytest
 from lasso_spectra import checks, cli
 from lasso_spectra.cli import main, parse_grid
 from lasso_spectra.errors import WindowViolationWarning
-from lasso_spectra.graph import delta_potential, graph_from_json, graph_to_json, lasso_graph
+from lasso_spectra.graph import Problem, delta_potential, graph_from_json, graph_to_json, lasso_graph
 from lasso_spectra.propagate import fundamental_solutions
+from lasso_spectra.spectrum import compute_catalog
 
 ROOT = Path(__file__).resolve().parents[1]
 FREE = str(ROOT / "configs" / "lasso_free.json")
@@ -193,6 +194,15 @@ def test_verify_passes_on_free_fixture(capsys):
     assert {"wronskian", "catalog_bijection", "oracle_agreement", "reconstruction_round_trip"} <= names
     for c in report["checks"]:
         assert {"value", "bound", "elapsed_s"} <= c.keys() and c["elapsed_s"] >= 0.0
+    # catalog_bijection holds the largest |eps| at lambda >= 0 to half the grid gap.
+    bijection = next(c for c in report["checks"] if c["name"] == "catalog_bijection")
+    graph, _ = graph_from_json(FREE)
+    cat = compute_catalog(graph, Problem.neumann(), 20.0)
+    worst = max(abs(e.eps) for e in cat.entries if e.lam >= 0.0)
+    assert bijection["value"] == worst / (cat.frame.delta() / 2.0) < 1.0
+    assert bijection["bound"] == 1.0
+    n = len(cat.frame.slots(20.0))
+    assert bijection["detail"] == {"entries": n, "grid_points": n, "windows_ok": True}
 
 
 VERIFY_CHECKS = [
@@ -231,8 +241,8 @@ def test_verify_wronskian_matches_scalar_loop(capsys):
     worst = 0.0
     for _ in range(200):
         lam = float(rng.uniform(-4.0, 400.0))
-        for e in graph.edges:
-            f = fundamental_solutions(e, lam, graph.unit_value)
+        for segs in graph.segments:
+            f = fundamental_solutions(segs, lam)
             worst = max(worst, abs(f.wronskian() - 1.0))
     assert check["detail"]["max_deviation"] == worst
     assert check["passed"] and worst <= 1e-10
@@ -255,27 +265,44 @@ def _python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_charfn_loads_no_scipy(tmp_path):
-    out = str(tmp_path / "charfn.csv")
+def _cli_in_fresh_process(tmp_path, *argv):
+    """Run the CLI on argv in a new interpreter: its exit code and the scipy
+    modules loaded by the end of the run."""
+    report = tmp_path / "modules.json"
     proc = _python(
         "import json, sys\n"
         "from lasso_spectra.cli import main\n"
-        f"code = main(['charfn', '--config', 'configs/lasso_delta.json', '--rho=0:5:0.01', '--out', {out!r}])\n"
-        "print(json.dumps([code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]]))\n"
+        f"code = main({list(argv)!r})\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        f"open({str(report)!r}, 'w').write(json.dumps([code, loaded]))\n"
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
-    assert code == 0
-    assert loaded == []
+    return json.loads(report.read_text())
+
+
+def test_charfn_loads_no_scipy(tmp_path):
+    # Only verify loads scipy, for the finite-element oracle.
+    out = str(tmp_path / "charfn.csv")
+    code, loaded = _cli_in_fresh_process(
+        tmp_path, "charfn", "--config", DELTA, "--rho=0:5:0.01", "--out", out
+    )
+    assert (code, loaded) == (0, [])
     assert len(Path(out).read_text().splitlines()) == 1 + 501
 
-    proc = _python(
-        "import sys\n"
-        "from lasso_spectra.cli import main\n"
-        "sys.exit(main(['eigs', '--config', 'configs/lasso_delta.json', '--rho-max', '5']))\n"
+    spectra = str(tmp_path / "spectra")
+    code, loaded = _cli_in_fresh_process(
+        tmp_path, "eigs", "--config", DELTA, "--rho-max", "20", "--out", spectra
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "n,k,lambda,rho,rho0,eps,multiplicity"
+    assert (code, loaded) == (0, [])
+    assert Path(spectra + ".csv").read_text().splitlines()[0] == "n,k,lambda,rho,rho0,eps,multiplicity"
+
+    rec = str(tmp_path / "rec")
+    code, loaded = _cli_in_fresh_process(
+        tmp_path, "reconstruct", "--config", DELTA, "--spectra", spectra + ".csv",
+        "--n-max", "8", "--out", rec,
+    )
+    assert (code, loaded) == (0, [])
+    assert len(Path(rec + ".csv").read_text().splitlines()) > 100
 
 
 def test_eigs_window_violation_warns(capsys, tmp_path):

@@ -7,11 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from lasso_spectra.graph import EdgeSpec, PotentialSpec, delta_potential, zero_potential
+from lasso_spectra.graph import (
+    EdgeSpec,
+    PotentialSpec,
+    delta_potential,
+    lasso_graph,
+    zero_potential,
+)
 from lasso_spectra.propagate import (
+    SERIES_SWITCH,
     StateMatrix,
     fundamental_solutions,
     phi_pair,
+    phi_table,
     step_matrix,
 )
 
@@ -108,10 +116,10 @@ def test_step_matrix_determinant_one():
 
 def test_fundamental_free_edge_closed_form():
     edge = EdgeSpec(1, 1, "pendant", zero_potential(1))
-    f = fundamental_solutions(edge, math.pi**2)
+    f = fundamental_solutions(edge.segments(), math.pi**2)
     assert abs(f.C + 1.0) < 1e-12 and abs(f.S1 + 1.0) < 1e-12
     assert abs(f.C1) < 1e-11 and abs(f.S) < 1e-12
-    f0 = fundamental_solutions(edge, 0.0)
+    f0 = fundamental_solutions(edge.segments(), 0.0)
     assert (f0.C, f0.C1, f0.S, f0.S1) == (1.0, 0.0, 1.0, 1.0)
 
 
@@ -124,7 +132,7 @@ def test_fundamental_two_segment_against_ode_oracle():
         s = 0.0 if x < 0.5 else 1.0
         return [s * y[0] + y[1], -(s * s + lam) * y[0] - s * y[1]]
 
-    f = fundamental_solutions(edge, lam)
+    f = fundamental_solutions(edge.segments(), lam)
     for y0, want in (([1.0, 0.0], (f.C, f.C1)), ([0.0, 1.0], (f.S, f.S1))):
         sol = solve_ivp(rhs, (0.0, 1.0), y0, rtol=1e-11, atol=1e-13, max_step=0.01)
         assert np.allclose(sol.y[:, -1], want, atol=1e-8)
@@ -138,7 +146,7 @@ def test_fundamental_two_segment_against_ode_oracle():
 )
 def test_wronskian_with_delta_potentials(lam, strength, position):
     edge = EdgeSpec(1, 1, "pendant", delta_potential(1, position, strength))
-    f = fundamental_solutions(edge, lam)
+    f = fundamental_solutions(edge.segments(), lam)
     assert abs(f.wronskian() - 1.0) <= 1e-10
 
 
@@ -146,14 +154,50 @@ def test_segment_splitting_consistency():
     whole = EdgeSpec(1, 1, "pendant", PotentialSpec((0, 1), (0.7,)))
     split = EdgeSpec(1, 1, "pendant", PotentialSpec((0, "1/3", 1), (0.7, 0.7)))
     for lam in (-3.0, 0.0, 0.5, 19.0):
-        a = fundamental_solutions(whole, lam)
-        b = fundamental_solutions(split, lam)
+        a = fundamental_solutions(whole.segments(), lam)
+        b = fundamental_solutions(split.segments(), lam)
         for x, y in ((a.C, b.C), (a.C1, b.C1), (a.S, b.S), (a.S1, b.S1)):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
 
 
 def test_state_matrix_matmul_identity():
-    ident = StateMatrix.identity()
+    ident = StateMatrix(1.0, 0.0, 0.0, 1.0)
     m = step_matrix(0.5, 0.3, 2.0)
     prod = m @ ident
     assert (prod.a, prod.b, prod.c, prod.d) == (m.a, m.b, m.c, m.d)
+
+
+# Below 0, inside the series region for every segment (|lambda| h^2 <= SERIES_SWITCH
+# with h <= 3 pi / 2), and above 0; then all of them at once.
+COMPILED_LAMBDAS = [-7.5, -SERIES_SWITCH / 40, 0.0, SERIES_SWITCH / 40, 42.0]
+
+
+@pytest.mark.parametrize("lam", COMPILED_LAMBDAS + [np.array(COMPILED_LAMBDAS)])
+def test_compiled_segments_match_step_product(lam):
+    # Segment lengths repeat within an edge (pi/4 on pendant 1) and across
+    # edges (pi/2 on the cycle and on both pendants).
+    graph = lasso_graph(
+        1,
+        [1, "3/2"],
+        potentials=[
+            PotentialSpec((0, "1/2", 1), (0.3, -0.2)),
+            PotentialSpec((0, "1/4", "1/2", 1), (0.5, 0.0, -1.5)),
+            PotentialSpec((0, 1, "3/2"), (0.0, 2.0)),
+        ],
+        length_unit="pi",
+    )
+    phis = phi_table([h for segs in graph.segments for _, h in segs], lam)
+    assert len(phis) == 3
+    for edge, segs in zip(graph.edges, graph.segments):
+        bp = edge.potential.breakpoints
+        steps = [
+            step_matrix(sigma, float(hi - lo) * math.pi, lam)
+            for sigma, lo, hi in zip(edge.potential.values, bp, bp[1:])
+        ]
+        want = steps[0]
+        for step in steps[1:]:
+            want = step @ want
+        for shared in (phis, None):
+            got = fundamental_solutions(segs, lam, shared)
+            for x, y in ((got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d)):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()

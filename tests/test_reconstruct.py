@@ -151,7 +151,7 @@ def _mp_charfn(graph, problem, lam):
         unit = mpmath.pi if graph.length_unit == "pi" else 1
         fs = []
         for e in graph.edges:
-            m = StateMatrix.identity()
+            m = StateMatrix(1, 0, 0, 1)
             bp = e.potential.breakpoints
             for sigma, lo, hi in zip(e.potential.values, bp, bp[1:]):
                 h = unit * mpmath.mpf((hi - lo).numerator) / (hi - lo).denominator

@@ -37,7 +37,7 @@ def test_find_eigenvalues_empty_range(pi_lasso):
 def test_cycle_tangential_zeros(pi_lasso):
     # The cycle factor alone has double zeros at rho |e_0| in 2 pi Z.
     def cycle(rho):
-        f0 = fundamental_solutions(pi_lasso.cycle, np.asarray(rho) ** 2, pi_lasso.unit_value)
+        f0 = fundamental_solutions(pi_lasso.segments[0], np.asarray(rho) ** 2)
         return f0.C + f0.S1 - 2.0
 
     roots, _ = scan_roots(cycle, 0.5, 6.5, 1200)
