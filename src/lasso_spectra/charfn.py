@@ -19,9 +19,14 @@ characteristic function tends to 1 as lambda -> -infinity.
 `assemble` uses only +, * and integer constants, so the same formula runs on
 numpy values of perturbed edges and on exact trigonometric expressions of
 free edges (see trigpoly.expand_free_charfn).
+
+A lambda array longer than BLOCK_POINTS is evaluated block by block; every
+step is elementwise, so the values are those of one whole-array evaluation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import NearPole
 from .graph import Problem, ValidatedGraph, validate
@@ -29,6 +34,9 @@ from .propagate import FundamentalSolution, fundamental_solutions, phi_table
 
 # Scale-aware cutoff for pole detection in the Weyl function.
 NEARPOLE_COEF = 1e-9
+# Vector evaluations run over blocks of this many points, so that one block's
+# temporaries stay in cache and are reused instead of freshly mapped.
+BLOCK_POINTS = 4096
 
 
 def _solutions(graph: ValidatedGraph, lam) -> list[FundamentalSolution]:
@@ -55,7 +63,15 @@ def charfn_for(graph, problem: Problem, lam):
     """Characteristic function of L (Problem.neumann()) or Lj (Problem.dirichlet(j))."""
     graph = validate(graph)
     problem.check(graph)
-    return assemble(_solutions(graph, lam), problem.j)
+    lam_arr = np.asarray(lam, dtype=float)
+    if lam_arr.size <= BLOCK_POINTS:
+        return assemble(_solutions(graph, lam), problem.j)
+    flat = lam_arr.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, BLOCK_POINTS):
+        block = flat[start : start + BLOCK_POINTS]
+        out[start : start + BLOCK_POINTS] = assemble(_solutions(graph, block), problem.j)
+    return out.reshape(lam_arr.shape)
 
 
 def weyl(graph, j: int, lam: float) -> float:

@@ -50,8 +50,8 @@ from .trigpoly import AsymptoticFrame
 SNAP_ZERO = 1e-12
 GRID_EIG_TOL = 1e-10
 # The factor product works on (moved entries x grid block) arrays of about
-# this many doubles.
-BLOCK_DOUBLES = 1_000_000
+# this many doubles (256 KiB), which stay in cache and are reused from the heap.
+BLOCK_DOUBLES = 32_768
 
 
 def leading_constant(frame: AsymptoticFrame) -> float:

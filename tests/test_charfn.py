@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from free_reference import free_charfn, free_charfn_dirichlet
 
+from lasso_spectra import charfn
 from lasso_spectra.charfn import assemble, charfn_for, weyl
 from lasso_spectra.errors import BadIndex, NearPole
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
@@ -138,3 +139,19 @@ def test_charfn_for_dispatch(pi_lasso):
     fs = [fundamental_solutions(segs, lam) for segs in pi_lasso.segments]
     assert charfn_for(pi_lasso, Problem.neumann(), lam) == assemble(fs, 0)
     assert charfn_for(pi_lasso, Problem.dirichlet(2), lam) == assemble(fs, 2)
+
+
+def test_blocked_evaluation_matches_whole_array(delta_lasso):
+    """Arrays longer than BLOCK_POINTS are evaluated block by block; the
+    values are those of one whole-array evaluation, byte for byte."""
+    n = 3 * charfn.BLOCK_POINTS + 17
+    lam = np.concatenate(
+        [np.linspace(-400.0, -1e-3, n // 3), np.linspace(-1e-5, 1e-5, 101), np.linspace(0.0, 4e4, n - n // 3 - 101)]
+    )
+    for problem in (Problem.neumann(), Problem.dirichlet(1)):
+        whole = assemble(charfn._solutions(delta_lasso, lam), problem.j)
+        got = charfn_for(delta_lasso, problem, lam)
+        assert got.tobytes() == whole.tobytes()
+        square = charfn_for(delta_lasso, problem, lam[: 90 * 90].reshape(90, 90))
+        assert square.shape == (90, 90)
+        assert square.tobytes() == whole[: 90 * 90].tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from free_reference import free_charfn_dirichlet
 
-from lasso_spectra import checks
+from lasso_spectra import checks, reconstruct
 from lasso_spectra.charfn import assemble, charfn_for
 from lasso_spectra.errors import DegenerateLeadingTerm, InsufficientCatalog, NearPole
 from lasso_spectra.graph import Problem
@@ -59,6 +59,15 @@ def test_zero_potential_fixed_point(pi_lasso):
     res = hadamard_reconstruct(cat, grid, 40)
     d0 = cat.frame.eval_lambda(grid)
     assert np.max(np.abs(res.values - d0)) <= 1e-12 * np.max(np.abs(d0))
+
+
+def test_factor_product_blocks_do_not_change_values(delta_catalog_deep, monkeypatch):
+    grid = np.linspace(-50.0, 3000.0, 5003)
+    whole = hadamard_reconstruct(delta_catalog_deep, grid, 100)
+    monkeypatch.setattr(reconstruct, "BLOCK_DOUBLES", 1000)
+    blocked = hadamard_reconstruct(delta_catalog_deep, grid, 100)
+    assert blocked.ratio.tobytes() == whole.ratio.tobytes()
+    assert blocked.values.tobytes() == whole.values.tobytes()
 
 
 def test_delta_reconstruction_convergence(delta_catalog_deep, delta_lasso):
