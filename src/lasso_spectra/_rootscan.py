@@ -4,32 +4,29 @@ One scan evaluates fn once on the whole grid and then refines every candidate
 at once: fn is called with arrays only, so its cost per scan is the grid plus
 a few dozen vector calls, independent of the number of roots.
 
-The refiners are numpy ports of Chandrupatla's bracketing root finder and
-minimizer (Adv. Eng. Software 28, 1997) as scipy.optimize.elementwise
-implements them, with the same results; the scan loads numpy only.
+There is one refiner, a numpy port of Chandrupatla's bracketing root finder
+(Adv. Eng. Software 28, 1997) as scipy.optimize.elementwise implements it,
+with the same results; the scan loads numpy only. It refines sign changes of
+fn, and it finds the lowest point of a dip of |fn| as the sign change of a
+difference quotient, which decides between a root pair, a touch and no root.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # A local minimum of |f| below DIP_FACTOR * scale triggers refinement; the
-# refined minimum counts as a double root if below TOUCH_FACTOR * scale.
+# refined minimum counts as a double root if within TOUCH_FACTOR * scale of 0.
 DIP_FACTOR = 1e-6
 TOUCH_FACTOR = 1e-9
 XTOL = 1e-12
 # Roots closer than MERGE_FACTOR * max(1, span) are one root.
 MERGE_FACTOR = 1e-9
 
-# scipy's defaults for the tolerances not set above and for the iteration caps.
-_TINY = float(np.finfo(float).tiny)  # fatol of both; frtol of the minimizer
+# scipy's defaults for the tolerances not set above and for the iteration cap.
+_TINY = float(np.finfo(float).tiny)  # fatol
 _ROOT_XRTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAXITER = 2046  # log2 of the largest over the smallest normal float
-_MINIMIZE_XRTOL = math.sqrt(float(np.finfo(float).eps))
-_MINIMIZE_MAXITER = 100
-_GOLDEN = 0.5 + 0.5 * 5**0.5
 
 
 def _roots_in(fn, lo, hi, args=()):
@@ -97,91 +94,56 @@ def _roots_in(fn, lo, hi, args=()):
     return out
 
 
-def _minima(fn, a, x, b, sgn):
-    """Vector minimization of sgn * fn over each stencil (a, x, b), a < x < b
-    and x the lowest of the three: the argmin, and sgn * fn there, which is
-    negative where fn changed sign.
+def _dip_centers(ys, sign, scale):
+    """Grid indices where |f| has a local minimum with no sign change across
+    the three-point stencil, low enough to hide a root pair or a touch."""
+    f0, f1, f2 = ys[:-2], ys[1:-1], ys[2:]
+    a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
+    # A tangential zero at offset <= step/2 from the stencil center dips to
+    # |f| <= curvature * step^2 / 8; the second difference estimates that
+    # curvature scale, so the test stays valid for any step size.
+    curvature_bound = 0.75 * np.abs(f0 - 2.0 * f1 + f2)
+    dip = (
+        (sign[:-2] != 0.0)
+        & (sign[:-2] == sign[1:-1])
+        & (sign[1:-1] == sign[2:])
+        & (a1 <= a0)
+        & (a1 <= a2)
+        & (a1 <= np.maximum(DIP_FACTOR * scale, curvature_bound))
+    )
+    return np.flatnonzero(dip) + 1
 
-    Chandrupatla's quadratic-interpolation minimizer, ported from
-    scipy.optimize.elementwise.find_minimum with its defaults apart from
-    xatol = XTOL, in the same way as _roots_in.
+
+def _argmins(fn, a, b, sgn):
+    """The lowest point of sgn * fn in each dip's stencil (a, b), or NaN where
+    none is bracketed.
+
+    It is the root of a central difference quotient of sgn * fn, refined by
+    _roots_in to ~1e-12 across (a, b) where the quotient goes from negative to
+    positive there. Where a second extremum in the stencil spoils that
+    bracket, the first sign change downhill from the stencil's center, on
+    eight subcells, brackets it. The quotient's width balances the O(h^2)
+    cubic-term bias against the eps/h rounding noise.
     """
-    if x.size == 0:
-        return x, x
-    x1, x2, x3 = (np.array(v, dtype=float) for v in (a, x, b))
-    f1, f2, f3 = (np.asarray(sgn * fn(v), dtype=float) for v in (x1, x2, x3))
-    q0 = x3.copy()
-    out_x, out_f = np.empty_like(x2), np.empty_like(x2)
-    active = np.arange(x2.size)
-    for nit in range(_MINIMIZE_MAXITER + 1):
-        if nit:
-            x21, x32 = x2 - x1, x3 - x2
-            # The parabola's vertex if it moved less than half the smaller
-            # interval (nudged xtol off x2), golden section of the larger one
-            # otherwise.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                A = x21 * (f3 - f2)
-                B = x32 * (f1 - f2)
-                C = A / (A + B)
-                q1 = 0.5 * (C * (x1 - x3) + x2 + x3)
-                vertex = np.abs(q1 - q0) < 0.5 * np.abs(x21)
-                nudge = np.abs(q1 - x2) <= xtol
-            x = np.where(
-                vertex,
-                np.where(nudge, x2 + np.sign(x32) * xtol, q1),
-                x2 + (2 - _GOLDEN) * x32,
-            )
-            q0 = q1
-            fx = np.asarray(sgn * fn(x), dtype=float)
-            right = np.sign(x - x2) == np.sign(x3 - x2)
-            up = fx > f2
-            x1, f1, x3, f3 = (
-                np.where(right, np.where(up, x1, x2), np.where(up, x, x1)),
-                np.where(right, np.where(up, f1, f2), np.where(up, fx, f1)),
-                np.where(right, np.where(up, x, x3), np.where(up, x3, x2)),
-                np.where(right, np.where(up, fx, f3), np.where(up, f3, f2)),
-            )
-            x2, f2 = np.where(up, x2, x), np.where(up, f2, fx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = (f2 > f1) | (f2 > f3) | ~np.isfinite(x1 + x2 + x3 + f1 + f2 + f3)
-        x2, f2 = np.where(bad, np.nan, x2), np.where(bad, np.nan, f2)
-        # (x2, x3) is the larger interval.
-        swap = np.abs(x3 - x2) < np.abs(x2 - x1)
-        x1, x3 = np.where(swap, x3, x1), np.where(swap, x1, x3)
-        f1, f3 = np.where(swap, f3, f1), np.where(swap, f1, f3)
-        xtol = np.abs(x2) * _MINIMIZE_XRTOL + XTOL
-        stop = bad | (np.abs(x3 - x2) <= 2 * xtol)
-        stop |= (f1 - 2 * f2 + f3) <= 2 * (np.abs(f2) * _TINY + _TINY)
-        out_x[active], out_f[active] = x2, f2
-        if stop.any():
-            keep = ~stop
-            active = active[keep]
-            x1, f1, x2, f2, x3, f3, q0, xtol, sgn = (
-                v[keep] for v in (x1, f1, x2, f2, x3, f3, q0, xtol, sgn)
-            )
-        if not active.size:
-            break
-    return out_x, out_f
-
-
-def _refine_touches(fn, a, b, xm, sgn):
-    """Sharpen tangential roots: minimizing |f| localizes the argmin only to
-    ~sqrt(eps), so bracket the sign change of a central-difference derivative
-    instead, which recovers ~1e-12 accuracy. The stencil width balances the
-    O(h^2) cubic-term bias against the eps/h rounding noise. Where the
-    derivative does not change sign across the stencil, the argmin stays."""
-    if xm.size == 0:
-        return xm
+    out = np.full_like(a, np.nan)
+    if a.size == 0:
+        return out
     h = (b - a) / 4096.0
 
     def g(x, h, sgn):
         vals = np.asarray(fn(np.concatenate([x + h, x - h])), dtype=float)
         return sgn * (vals[: x.size] - vals[x.size :])
 
-    ends = g(np.concatenate([a, b]), np.concatenate([h, h]), np.concatenate([sgn, sgn]))
-    ok = (ends[: a.size] < 0.0) & (ends[a.size :] > 0.0)
-    out = xm.copy()
-    out[ok] = _roots_in(g, a[ok], b[ok], (h[ok], sgn[ok]))
+    t = a + np.arange(9.0)[:, None] / 8.0 * (b - a)
+    t[8] = b
+    gt = g(t.ravel(), np.tile(h, 9), np.tile(sgn, 9)).reshape(t.shape)
+    whole = (gt[0] < 0.0) & (gt[8] > 0.0)
+    right, rise, fall = gt[4] < 0.0, gt[5:] > 0.0, gt[3::-1] < 0.0
+    k = np.where(whole, 0, np.where(right, 4 + rise.argmax(0), 3 - fall.argmax(0)))
+    ok = whole | np.where(right, rise.any(0), fall.any(0) & (gt[4] > 0.0))
+    cols = np.arange(a.size)
+    lo, hi = t[k, cols], np.where(whole, b, t[k + 1, cols])
+    out[ok] = _roots_in(g, lo[ok], hi[ok], (h[ok], sgn[ok]))
     return out
 
 
@@ -223,33 +185,22 @@ def scan_roots(fn, lo: float, hi: float, n_points: int, values=None):
     cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     crossings = _roots_in(fn, xs[cells], xs[cells + 1])
 
-    # Tangential zeros and sub-cell root pairs: local minima of |f| with no
-    # sign change across the three-point stencil.
-    f0, f1, f2 = ys[:-2], ys[1:-1], ys[2:]
-    a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
-    # A tangential zero at offset <= step/2 from the stencil center dips to
-    # |f| <= curvature * step^2 / 8; the second difference estimates that
-    # curvature scale, so the test stays valid for any step size.
-    curvature_bound = 0.75 * np.abs(f0 - 2.0 * f1 + f2)
-    dip = (
-        (sign[:-2] != 0.0)
-        & (sign[:-2] == sign[1:-1])
-        & (sign[1:-1] == sign[2:])
-        & (a1 <= a0)
-        & (a1 <= a2)
-        & (a1 <= np.maximum(DIP_FACTOR * scale, curvature_bound))
-    )
-    centers = np.flatnonzero(dip) + 1
+    # Tangential zeros and sub-cell root pairs.
+    centers = _dip_centers(ys, sign, scale)
     a, b, sgn = xs[centers - 1], xs[centers + 1], sign[centers]
-    xm, gm = _minima(fn, a, xs[centers], b, sgn)
+    xm = _argmins(fn, a, b, sgn)
+    a, b, sgn, xm = (v[np.isfinite(xm)] for v in (a, b, sgn, xm))
+    # sgn * fn at the argmin decides: below -TOUCH_FACTOR * scale, a root on
+    # either side of it; within TOUCH_FACTOR * scale of 0, a touch at it;
+    # otherwise no root.
+    gm = sgn * np.asarray(fn(xm), dtype=float) if xm.size else xm
     split = gm <= -TOUCH_FACTOR * scale
-    touch = np.abs(gm) <= TOUCH_FACTOR * scale
+    touches = xm[np.abs(gm) <= TOUCH_FACTOR * scale]
     pairs = _roots_in(
         fn,
         np.concatenate([a[split], xm[split]]),
         np.concatenate([xm[split], b[split]]),
     )
-    touches = _refine_touches(fn, a[touch], b[touch], xm[touch], sgn[touch])
 
     # Earlier stages win position ties in the merge: an exact grid hit is exact.
     found = np.concatenate([xs[hits], crossings, pairs, touches])

@@ -29,7 +29,7 @@ CONFIG_ERRORS = (
     errors.NoPendantEdge,
     errors.BadIndex,
     errors.GridTooCoarse,
-    FileNotFoundError,
+    OSError,
     json.JSONDecodeError,
     KeyError,
     ValueError,

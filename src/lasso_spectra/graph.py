@@ -252,8 +252,10 @@ def graph_from_json(source) -> tuple[ValidatedGraph, bool]:
         obj = json.loads(Path(source).read_text())
     else:
         obj = source
-    if not isinstance(obj, dict) or "edges" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
         raise BadBreakpoints("config must be an object with an 'edges' list")
+    if not all(isinstance(e, dict) for e in obj["edges"]):
+        raise BadBreakpoints("every entry of 'edges' must be an object")
     unit = str(obj.get("length_unit", "1"))
     edges = []
     potentials_known = True

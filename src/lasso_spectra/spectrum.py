@@ -15,6 +15,7 @@ or the assignment is reported as failed rather than silently patched.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ def _scan_step(frame: AsymptoticFrame) -> float:
     return min(frame.tau / SCAN_POINTS_PER_PERIOD, math.pi / (8.0 * fmax))
 
 
-def _zero_root_multiplicity(d, step: float, scale: float) -> int:
+def _zero_root_multiplicity(d, step: float) -> int:
     """Even rho-order of d at 0 by log-ratio of d on a shrinking stencil."""
     h1, h2 = step / 2.0, step / 4.0
     v1, v2 = d(h1), d(h2)
@@ -80,7 +81,7 @@ def find_eigenvalues(graph, problem: Problem, rho_max: float, frame: AsymptoticF
     out = []
     margin = 1e-8 * max(1.0, rho_max)
     if abs(d(0.0)) <= ZERO_VALUE_TOL * scale:
-        out.append((0.0, _zero_root_multiplicity(d, step, scale)))
+        out.append((0.0, _zero_root_multiplicity(d, step)))
     for rho, mult in roots:
         if rho <= margin:
             continue  # the rho = 0 zero is classified above, in lambda terms
@@ -178,18 +179,17 @@ def catalog_spectrum(
     window = frame.window()
 
     items: list[tuple[float, float, int]] = []  # (rho_for_matching, lambda, root mult)
-    negatives = sorted(negatives)  # a double negative eigenvalue is listed twice
-    for lam in negatives:
-        items.append((0.0, float(lam), negatives.count(lam)))
+    # A double negative eigenvalue is listed twice: the run length is the multiplicity.
+    for lam, run in itertools.groupby(sorted(negatives)):
+        mult = len(list(run))
+        items.extend([(0.0, float(lam), mult)] * mult)
     for rho, mult in eigs:
         if rho == 0.0:
             if mult % 2:
                 raise UnresolvedMultiplicity(f"odd rho-order {mult} at rho = 0")
-            for _ in range(mult // 2):
-                items.append((0.0, 0.0, mult))
+            items.extend([(0.0, 0.0, mult)] * (mult // 2))
         else:
-            for _ in range(mult):
-                items.append((float(rho), float(rho) ** 2, mult))
+            items.extend([(float(rho), float(rho) ** 2, mult)] * mult)
     items.sort(key=lambda t: (t[0], t[1]))
 
     if slots:

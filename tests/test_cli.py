@@ -65,6 +65,21 @@ def test_missing_config_exits_2(capsys):
     assert "error" in err
 
 
+def test_directory_as_config_exits_2(capsys):
+    code, _, err = run(capsys, "charfn", "--config", str(ROOT / "configs"), "--rho", "0:1:0.5")
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("edges", [5, [5], "edges", [{"id": 0}, None]])
+def test_edges_not_a_list_of_objects_exits_2(capsys, tmp_path, edges):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"edges": edges}))
+    code, _, err = run(capsys, "charfn", "--config", str(bad), "--rho", "0:1:0.5")
+    assert code == 2
+    assert "'edges'" in err
+
+
 def test_bad_pendant_index_exits_2(capsys):
     code, _, err = run(capsys, "charfn", "--config", FREE, "--problem", "Lj", "--j", "3", "--rho", "0:1:0.5")
     assert code == 2
