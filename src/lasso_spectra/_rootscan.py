@@ -159,7 +159,7 @@ def _merge(xs, mults, tol):
     return [(float(x), int(m)) for x, m in zip(xs[first], mult)]
 
 
-def scan_roots(fn, lo: float, hi: float, n_points: int, values=None):
+def scan_roots(fn, lo: float, hi: float, n_points: int):
     """All roots of fn on [lo, hi] with multiplicity 1 (crossing) or 2 (touch).
 
     fn must accept ndarrays. Roots closer than MERGE_FACTOR of the span are
@@ -167,7 +167,7 @@ def scan_roots(fn, lo: float, hi: float, n_points: int, values=None):
     caller's resolution contract).
     """
     xs = np.linspace(lo, hi, n_points + 1)
-    ys = np.asarray(fn(xs) if values is None else values, dtype=float)
+    ys = np.asarray(fn(xs), dtype=float)
     scale = float(np.max(np.abs(ys)))
     if scale == 0.0:
         raise ValueError("function is identically zero on the scan grid")

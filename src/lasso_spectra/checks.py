@@ -71,7 +71,7 @@ def free_closed_form(graph, problem: Problem, frame, rho) -> Check:
 def periodicity(frame, rho) -> Check:
     start = time.perf_counter()
     per = float(np.max(np.abs(frame.poly(rho + frame.tau) - frame.poly(rho))))
-    bound = PERIODICITY_TOL * frame.poly.deriv_scale(0)
+    bound = PERIODICITY_TOL * frame.poly.scale()
     return _check("periodicity", start, per, bound, {"max_deviation": per})
 
 

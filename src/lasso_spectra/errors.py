@@ -30,7 +30,7 @@ class ConstantFunction(SpectraError):
 
 
 class UnresolvedMultiplicity(SpectraError):
-    """Zero-multiplicity detection by derivatives was inconclusive."""
+    """The rho-order of the characteristic function's zero at rho = 0 is unresolved."""
 
 
 class ScanResolutionTooCoarse(SpectraError):

@@ -57,7 +57,7 @@ BLOCK_DOUBLES = 32_768
 def leading_constant(frame: AsymptoticFrame) -> float:
     """(-1)^mu0 times the mu0-th lambda-derivative of d0 at 0 (nonzero by mu0)."""
     val = frame.lambda_deriv_at_zero(frame.mu0)
-    scale = max(frame.poly.deriv_scale(0), 1e-300)
+    scale = max(frame.poly.scale(), 1e-300)
     if abs(val) < 1e-12 * scale:
         raise DegenerateLeadingTerm(
             f"mu0-th derivative {val} vanishes at lambda = 0; mu0 = {frame.mu0} is wrong upstream"

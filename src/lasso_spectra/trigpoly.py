@@ -11,10 +11,10 @@ as exact trig expressions in rho; the product-to-sum arithmetic is exact
 rational, so cancellations are exact.
 
 The frame records the smallest period tau, the zeros of the periodic
-polynomial on [0, tau/2] with multiplicities, and the multiplicity mu0 of the
-zero eigenvalue (counted in lambda). Together these generate the unperturbed
-eigenvalue grid by one rule, rho0_nk = |tau n + alpha_k|, where n runs over Z
-(two-sided) or from a first index on (one-sided):
+polynomial on [0, tau/2] with their multiplicities, exact from square-free
+factors (base_zeros), and the multiplicity mu0 of the zero eigenvalue (in
+lambda). They generate the unperturbed eigenvalue grid by one rule,
+rho0_nk = |tau n + alpha_k|, n over Z (two-sided) or from a first index on:
 
   - mu0 two-sided families at alpha = 0, so interior lattice points tau n
     carry their full multiplicity 2 mu0;
@@ -31,18 +31,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
-from ._rootscan import scan_roots
+from ._rootscan import _roots_in
 from .charfn import assemble
-from .errors import ConstantFunction, HalfPeriodZeroWarning, UnresolvedMultiplicity
+from .errors import ConstantFunction, HalfPeriodZeroWarning
 from .graph import Problem, ValidatedGraph, validate
 from .propagate import FundamentalSolution, phi_pair
-
-# Spec'd multiplicity tolerance: |p^(m)(alpha)| > DERIV_TOL * scale_m.
-DERIV_TOL = 1e-7
-MAX_MULT = 8
 
 
 @dataclass(frozen=True)
@@ -50,12 +47,12 @@ class TrigPoly:
     """sum coefs[m] * trig(freqs[m] * unit * rho), trig = cos or sin.
 
     Frequencies are exact nonnegative rationals in units of `unit`, distinct
-    and ascending; coefficients are nonzero.
+    and ascending; coefficients are nonzero exact rationals.
     """
 
     kind: str  # "cos" | "sin"
     freqs: tuple[Fraction, ...]
-    coefs: tuple[float, ...]
+    coefs: tuple[Fraction | float, ...]
     unit: float = 1.0
 
     def __post_init__(self):
@@ -66,22 +63,12 @@ class TrigPoly:
         out = np.zeros_like(rho)
         f = np.cos if self.kind == "cos" else np.sin
         for freq, coef in zip(self.freqs, self.coefs):
-            out = out + coef * f(float(freq) * self.unit * rho)
+            out = out + float(coef) * f(float(freq) * self.unit * rho)
         return float(out) if out.ndim == 0 else out
 
-    def derivative(self) -> "TrigPoly":
-        if self.kind == "cos":
-            kind = "sin"
-            pairs = [(f, -c * float(f) * self.unit) for f, c in zip(self.freqs, self.coefs)]
-        else:
-            kind = "cos"
-            pairs = [(f, c * float(f) * self.unit) for f, c in zip(self.freqs, self.coefs)]
-        pairs = [(f, c) for f, c in pairs if c != 0.0]
-        return TrigPoly(kind, tuple(f for f, _ in pairs), tuple(c for _, c in pairs), self.unit)
-
-    def deriv_scale(self, order: int) -> float:
-        """Upper bound for |p^(order)| over the real line (tolerance scale)."""
-        return sum(abs(c) * (float(f) * self.unit) ** order for f, c in zip(self.freqs, self.coefs))
+    def scale(self) -> float:
+        """Upper bound sum |c| for |p| over the real line (tolerance scale)."""
+        return sum(abs(float(c)) for c in self.coefs)
 
     def freq_gcd(self) -> Fraction:
         g = Fraction(0)
@@ -172,7 +159,7 @@ class _TrigExpr:
         assert not bad, f"unexpected terms {bad} beside {kind} * rho**{power}"
         items = sorted(self.terms.items(), key=lambda kv: kv[0][1])
         freqs = tuple(f for (_, f, _), _ in items)
-        coefs = tuple(float(c) for _, c in items)
+        coefs = tuple(c for _, c in items)
         return TrigPoly(kind, freqs, coefs, unit)
 
 
@@ -201,23 +188,6 @@ def expand_free_charfn(graph, problem: Problem = Problem.neumann()) -> TrigPoly:
     if problem.kind == "neumann":
         return expr.to_poly("cos", 0, graph.unit_value)
     return expr.to_poly("sin", -1, graph.unit_value)
-
-
-def _multiplicity_at(poly: TrigPoly, x: float) -> int:
-    """Smallest m >= 1 with |p^(m)(x)| above tolerance; p(x) ~ 0 assumed."""
-    d = poly
-    for m in range(1, MAX_MULT + 1):
-        d = d.derivative()
-        scale = d.deriv_scale(0)
-        if scale == 0.0:
-            break
-        if abs(d(x)) > DERIV_TOL * scale:
-            return m
-    raise UnresolvedMultiplicity(f"derivative test inconclusive at x = {x}")
-
-
-def _is_zero_at(poly: TrigPoly, x: float) -> bool:
-    return abs(poly(x)) <= DERIV_TOL * poly.deriv_scale(0)
 
 
 @dataclass(frozen=True)
@@ -324,7 +294,7 @@ class AsymptoticFrame:
         out = np.zeros_like(lam)
         for f, c in zip(self.poly.freqs, self.poly.coefs):
             phi0, phi1 = phi_pair(lam, float(f) * self.poly.unit)
-            out = out + c * (phi0 if self.flavor == "cos" else phi1)
+            out = out + float(c) * (phi0 if self.flavor == "cos" else phi1)
         return float(out) if out.ndim == 0 else out
 
     def lambda_deriv_at_zero(self, order: int) -> float:
@@ -333,47 +303,97 @@ class AsymptoticFrame:
         total = 0.0
         for f, c in zip(self.poly.freqs, self.poly.coefs):
             h = float(f) * self.poly.unit
-            total += c * (-1.0) ** r * h ** (2 * r + e) / math.factorial(2 * r + e)
+            total += float(c) * (-1.0) ** r * h ** (2 * r + e) / math.factorial(2 * r + e)
         return total * math.factorial(r)
+
+
+def _divmod(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (lists, lowest degree first,
+    [] is zero), exact for a pseudo-division or a primitive divisor (Gauss)."""
+    p, quot = list(p), [0] * max(len(p) - len(q) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = p[i + len(q) - 1] // q[-1]
+        for k, c in enumerate(q):
+            p[i + k] -= quot[i] * c
+    while p and not p[-1]:
+        p.pop()
+    return quot, p
+
+
+def _square_free(f: list[int]) -> list[list[int]]:
+    """Yun's square-free factorization: [a_1, a_2, ...], f ~ a_1 a_2^2 a_3^3 ...
+    Constant factors do not matter for roots; each gcd is made primitive."""
+
+    def primitive(p):
+        content = math.gcd(*p)
+        return [c // content for c in p]
+
+    def gcd(p, q):
+        while any(q):
+            p, q = q, primitive(_divmod([c * q[-1] ** (len(p) - len(q) + 1) for c in p], q)[1])
+        return primitive(p)
+
+    df = [k * c for k, c in enumerate(f)][1:]
+    a = gcd(f, df)
+    b, c, out = _divmod(f, a)[0], _divmod(df, a)[0], []
+    while len(b) > 1:
+        d = [x - k * y for k, (x, y) in enumerate(zip(c, b[1:]), 1)]  # c - b'
+        out.append(gcd(b, d))
+        b, c = _divmod(b, out[-1])[0], _divmod(d, out[-1])[0]
+    return out
+
+
+def _simple_roots(factor: list[int], g: Fraction, unit: float, half: float) -> np.ndarray:
+    """Roots in rho on (0, half) of a factor with simple roots in (-1, 1), on its
+    cosine form. The grid doubles, a bounded number of times, until its sign
+    changes (exact hits included) bracket as many roots as the degree."""
+    form = [factor[-1]]  # 2^i times Horner's partial sum: 2x T_k = T_{k+1} + T_{|k-1|}
+    for c in reversed(factor[:-1]):
+        twice_x = [c * 2 ** len(form)] + [0] * len(form)
+        for k, b in enumerate(form):
+            twice_x[k + 1] += b
+            twice_x[abs(k - 1)] += b
+        form = twice_x
+    fn = TrigPoly("cos", tuple(k * g for k in range(len(form))), tuple(form), unit)
+    for doubling in range(12):
+        xs = np.linspace(0.0, half, 2**doubling * 8 * len(factor) + 1)
+        sign = np.sign(fn(xs))
+        cells = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
+        if cells.size >= len(factor) - 1:
+            break
+    return _roots_in(fn, xs[cells], xs[cells + 1])
 
 
 def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
     """Locate the zeros of the periodic polynomial on [0, tau/2] and build the frame.
 
-    Interior zeros are found by dense scan plus bracketing and classified by
-    the analytic derivatives of the polynomial; the endpoint multiplicities
-    fix mu0 and the tau/2 family. A cosine polynomial (d_0 of L) has the
-    cosine flavor, a sine polynomial (rho * d_0 of Lj) the sinc flavor. For
-    the cosine flavor a tau/2 zero is the case the theory excludes: it is
-    reported as a warning and folded.
-
-    The zeros are counted: with g the frequency gcd and K = max frequency / g,
-    the polynomial has degree K in exp(i g rho), hence 2K zeros per period,
-    and all of them are real (the free operator is self-adjoint). By symmetry
-    the period holds the zero at 0, the zero at tau/2 and each interior zero
-    twice. A frame that misses this count raises UnresolvedMultiplicity.
+    With g the frequency gcd and x = cos(theta), theta = g * unit * rho, a
+    cosine polynomial (d_0 of L) is P(x) and a sine polynomial (rho * d_0 of
+    Lj, sinc flavor) is sin(theta) Q(x), as cos(n theta) = T_n(x) and
+    sin(n theta) = sin(theta) U_{n-1}(x). By Yun's square-free factorization
+    of P or Q, a root of multiplicity m at x = 1 or -1 is a zero of order 2m
+    (+1 for sinc) at 0 or tau/2, and every other root an interior zero. These
+    are the 2K zeros of a period, K = max frequency / g, all real (the free
+    operator is self-adjoint). A tau/2 zero of d_0 of L is warned and folded.
     """
-    half = tau / 2.0
-    n_points = max(1024, int(64 * poly.max_freq() * tau / (2 * math.pi)))
-    roots, _ = scan_roots(poly, 0.0, half, n_points)
-
-    zero_mult = _multiplicity_at(poly, 0.0) if _is_zero_at(poly, 0.0) else 0
-    half_mult = _multiplicity_at(poly, half) if _is_zero_at(poly, half) else 0
-    if zero_mult % 2 != (poly.kind == "sin"):
-        raise UnresolvedMultiplicity(f"multiplicity {zero_mult} at 0 of the {poly.kind} polynomial")
-
-    margin = 1e-7 * tau
-    interior = tuple(
-        (x, _multiplicity_at(poly, x)) for x, _ in roots if margin < x < half - margin
-    )
-    count = zero_mult + half_mult + 2 * sum(m for _, m in interior)
-    per_period = 2 * max(poly.freqs) / poly.freq_gcd()
-    if count != per_period:
-        raise UnresolvedMultiplicity(
-            f"{count} zeros per period resolved with multiplicity, {per_period} expected"
-        )
-
-    frame = AsymptoticFrame(tau, poly, zero_mult // 2, interior, half_mult)
+    g, half, sinc = poly.freq_gcd(), tau / 2.0, poly.kind == "sin"
+    common = math.lcm(*(Fraction(c).denominator for c in poly.coefs))
+    terms = {int(f / g): int(Fraction(c) * common) for f, c in zip(poly.freqs, poly.coefs)}
+    basis = [[0], [1]] if sinc else [[1], [0, 1]]  # U_-1, U_0 or T_0, T_1
+    while len(basis) <= max(terms):  # B_{n+1} = 2x B_n - B_{n-1}
+        basis.append([2 * a - b for a, b in zip_longest([0, *basis[-1]], basis[-2], fillvalue=0)])
+    power = [0] * len(basis[-1])
+    for n, c in terms.items():
+        power[: len(basis[n])] = [a + c * b for a, b in zip(power, basis[n])]
+    ends, interior = {1: 0, -1: 0}, []  # multiplicities of x = 1 and x = -1
+    for mult, factor in enumerate(_square_free(power), 1):
+        for x in ends:
+            if sum(c * x**k for k, c in enumerate(factor)) == 0:
+                factor = _divmod(factor, [-x, 1])[0]
+                ends[x] += mult
+        interior += [(float(a), mult) for a in _simple_roots(factor, g, poly.unit, half)]
+    frame = AsymptoticFrame(tau, poly, ends[1], tuple(sorted(interior)), 2 * ends[-1] + sinc)
+    assert ends[1] + ends[-1] + sinc + sum(m for _, m in interior) == max(terms), "2K zeros"
     if frame.half_period_zero:
         warnings.warn(
             f"tau/2 = {half} is a zero of the reference function; "

@@ -17,6 +17,7 @@ from lasso_spectra.spectrum import compute_catalog
 ROOT = Path(__file__).resolve().parents[1]
 FREE = str(ROOT / "configs" / "lasso_free.json")
 DELTA = str(ROOT / "configs" / "lasso_delta.json")
+REPEATED = str(ROOT / "configs" / "lasso_repeated.json")
 
 
 def run(capsys, *argv):
@@ -332,12 +333,12 @@ def test_eigs_window_violation_warns(capsys, tmp_path):
     assert "warning: entry" not in err
 
 
-def test_eigs_frame_failing_its_zero_count_exits_3(capsys, tmp_path):
-    # A free lasso whose triple base zero the frame cannot resolve: a numeric
-    # failure of the frame, not a scan too coarse for the catalog (exit 4).
-    cfg = tmp_path / "triple.json"
-    cfg.write_text(json.dumps(graph_to_json(lasso_graph(1, [1, 2, 1, 1], length_unit="pi"))))
+def test_eigs_on_repeated_lengths_exits_0(capsys):
+    # Cycle 1/2, pendants 1, 2, 3 (unit 1), L2: a frame with two double base
+    # zeros among its 26 per period, which derivative tests miscount.
     code, _, err = run(
-        capsys, "eigs", "--config", str(cfg), "--problem", "Lj", "--j", "2", "--rho-max", "10"
+        capsys, "eigs", "--config", REPEATED, "--problem", "Lj", "--j", "2", "--rho-max", "30"
     )
-    assert code == 3 and "zeros per period" in err
+    assert code == 0
+    doubles = [a["alpha"] for a in json.loads(err)["alphas"] if a["mu"] == 2]
+    assert np.allclose(doubles, [np.pi / 2, 3 * np.pi / 2], rtol=0.0, atol=1e-12)
