@@ -12,19 +12,23 @@ and -sigma_j(|e_j|-) at its end, the internal vertex. The generalized problem
 A u = lambda M u is reduced by M^(-1/2) to an ordinary symmetric one, so the
 spectrum is real and the assembly is symmetric by construction.
 
-The dofs are numbered by their distance in grid steps from the internal
-vertex, ties by id, so the p + 2 chains leaving the vertex (two along the
-cycle, one per pendant) keep one order at every distance. Each distance holds
-at most p + 2 dofs, so every element couples dofs at most p + 2 apart. The
-operator is written straight into LAPACK's lower-band storage,
-`matrix[i, k] = A[i + k, i]` of shape (dim, b + 1) with half-bandwidth
-b <= p + 2; no dense dim x dim matrix is built. The lowest eigenvalues come
-from `scipy.linalg.eig_banded` (LAPACK dsbevx: reduction to tridiagonal
-form, then bisection), which is deterministic, needs no shift and returns
-multiple eigenvalues with their multiplicity. Its cost is the O(dim^2 b) band
-reduction. That reduction's rounding, up to ~3e-14 ||A|| with
-||A|| ~ 4 / h^2, keeps the lowest eigenvalues within ~1e-10 relative of a
-dense solve at 60-160 points per unit and within ~2e-8 at 320.
+Each edge numbers its own dofs along the edge, and the internal vertex is
+kept apart, so deleting it leaves p + 1 independent chains: the cycle's
+interior and each pendant (without its pinned end for Lj). The operator is
+A = [[a, b^T], [b, T]]: T is tridiagonal with a zero coupling between chains,
+and b is nonzero only at the p + 2 chain ends next to the vertex; no
+dim x dim matrix is built. By Cauchy interlacing, lambda_k lies in
+[mu_(k-1), mu_k], the eigenvalues of T from LAPACK stebz (below mu_0 and
+above the top mu, Gershgorin bounds close the bracket). Inside it, Haynsworth's
+inertia formula counts N(sigma) = #{mu < sigma} + [s(sigma) < 0] with the
+vertex Schur complement s(sigma) = a - sigma - b^T (T - sigma)^(-1) b
+(Golub, SIAM Rev. 1973). So lambda_k is where s changes sign, found by
+bisection sped up by Newton steps inside the bracket: one tridiagonal solve
+x = (T - sigma)^(-1) b (LAPACK gtsv) gives s and s' = -1 - |x|^2, O(dim) per
+shift. Where b^T v = 0 for a mu's eigenvector v, s has no pole there and
+lambda_k = mu (the sign rule finds it; so do equal mu, as from equal chains).
+The lowest eigenvalues agree with a dense symmetric solve within ~3e-11
+relative at 50-160 points per unit, the rounding level 4 eps ||A||.
 
 Eigenvalue error is O(h^2); tests Richardson-extrapolate over h, h/2.
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse
-from .graph import Problem, ValidatedGraph, validate
+from .graph import Problem, validate
 
 MIN_POINTS_PER_UNIT = 50
 
@@ -58,13 +62,16 @@ def _nodes_for_edge(edge, unit: float, points_per_unit: float) -> int:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Mass-normalized symmetric matrix in lower-band storage, with its grid metadata.
+    """Mass-normalized symmetric operator A = [[a, b^T], [b, T]], with its grid metadata.
 
-    matrix has shape (dim, b + 1) and holds matrix[i, k] = A[i + k, i];
-    matrix.T is LAPACK's lower band layout.
+    Row 0 is the internal vertex; T = tridiag(off, diag, off) holds the chains
+    left when it is deleted, with off = 0 between chains.
     """
 
-    matrix: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+    b: np.ndarray
+    a: float
     h: tuple[float, ...]  # grid spacing per edge
     problem: Problem
     points_per_unit: float
@@ -80,64 +87,76 @@ def discretize(graph, problem: Problem, points_per_unit: float) -> DiscreteOpera
     counts = [_nodes_for_edge(e, graph.unit_value, points_per_unit) for e in graph.edges]
     spacings = [graph.edge_length(j) / n for j, n in enumerate(counts)]
 
-    # Node ids: 0 is the internal vertex; the cycle interior, then each
-    # pendant's outer end (local node 0) and interior take the next ids.
-    # dist holds each id's distance in grid steps from the internal vertex.
-    # A and the lumped mass are gathered as (row, col, value) and (id, value)
-    # lists; repeated entries are summed.
-    dist, starts = [np.zeros(1, dtype=np.intp)], []
-    rows, cols, vals, mass_ids, mass_vals = [], [], [], [], []
-    next_id = 1
+    # Each edge's local nodes 0..n: n is the internal vertex, and so is 0 on
+    # the cycle. Its chain is nodes first..n-1, without the pinned end for Lj;
+    # each chain's last off entry (to the next chain) is 0.
+    pinned = problem.j if problem.kind == "dirichlet" else None
+    diag, off, couple, mass = [], [], [], []
+    a = vertex_mass = 0.0
     for j, (edge, n, h) in enumerate(zip(graph.edges, counts, spacings)):
-        own = np.arange(1, n) if j == 0 else np.arange(n)  # local nodes with a new id
-        ids = np.zeros(n + 1, dtype=np.intp)
-        ids[own] = next_id + np.arange(len(own))
-        next_id += len(own)
-        dist.append(np.minimum(own, n - own) if j == 0 else n - own)
-        starts.append(ids[0])
-
-        g0, g1 = ids[:-1], ids[1:]
+        stiff, lumped, link = np.full(n + 1, 2.0 / h), np.full(n + 1, h), np.zeros(n + 1)
+        stiff[[0, n]], lumped[[0, n]] = 1.0 / h, h / 2.0
         nodes = [b / edge.length * n for b in edge.potential.breakpoints]
         assert all(x.denominator == 1 for x in nodes), "breakpoint not on a grid node"
-        points = ids[[int(x) for x in nodes]]
-        rows += [g0, g1, g0, g1, points]
-        cols += [g0, g1, g1, g0, points]
-        vals += [
-            np.full(2 * n, 1.0 / h),
-            np.full(2 * n, -1.0 / h),
-            np.diff([0.0, *edge.potential.values, 0.0]),  # jumps of sigma, ends included
-        ]
-        mass_ids += [g0, g1]
-        mass_vals.append(np.full(2 * n, h / 2.0))
-    size = next_id
+        # The jumps of sigma, ends included.
+        stiff[[int(x) for x in nodes]] += np.diff([0.0, *edge.potential.values, 0.0])
+        # link couples a node to the vertex (on a one-element cycle, the vertex to itself).
+        ends = [0, n] if j == 0 else [n]
+        link[n - 1] -= 1.0 / h
+        if j == 0:
+            link[1] -= 1.0 / h
+        a += np.sum((stiff + link)[ends])
+        vertex_mass += np.sum(lumped[ends])
+        first = 1 if j in (0, pinned) else 0
+        chain_off = np.full(n - first, -1.0 / h)
+        chain_off[-1:] = 0.0
+        diag.append(stiff[first:n])
+        off.append(chain_off)
+        couple.append(link[first:n])
+        mass.append(lumped[first:n])
 
-    # Dofs by distance, ties by id (stable sort): an element joins dofs at most p + 2 apart.
-    order = np.argsort(np.concatenate(dist), kind="stable")
-    if problem.kind == "dirichlet":
-        order = order[order != starts[problem.j]]
-    dim = len(order)
-    rank = np.full(size, -1)
-    rank[order] = np.arange(dim)
-    mass = np.bincount(np.concatenate(mass_ids), np.concatenate(mass_vals), size)[order]
-    d = 1.0 / np.sqrt(mass)
-
-    # Lower band only, matrix[c, r - c] = A[r, c] for r >= c; the dropped dof has rank -1.
-    r, c = rank[np.concatenate(rows)], rank[np.concatenate(cols)]
-    keep = (c >= 0) & (r >= c)
-    r, c = r[keep], c[keep]
-    band = np.zeros((dim, int(np.max(r - c)) + 1))
-    np.add.at(band, (c, r - c), np.concatenate(vals)[keep] * d[r] * d[c])
-    return DiscreteOperator(band, tuple(spacings), problem, points_per_unit)
+    w, w_a = 1.0 / np.sqrt(np.concatenate(mass)), 1.0 / math.sqrt(vertex_mass)
+    diag, off = np.concatenate(diag) * w * w, np.concatenate(off)[:-1] * w[:-1] * w[1:]
+    b = np.concatenate(couple) * w * w_a
+    return DiscreteOperator(diag, off, b, a * w_a * w_a, tuple(spacings), problem, points_per_unit)
 
 
 def oracle_eigs(op: DiscreteOperator, count: int) -> np.ndarray:
-    """The count smallest eigenvalues, ascending (LAPACK banded symmetric solve)."""
-    from scipy.linalg import eig_banded
+    """The count smallest eigenvalues, ascending: one Schur-complement root per bracket."""
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dgtsv
 
-    count = min(count, op.matrix.shape[0])
-    return eig_banded(
-        op.matrix.T, lower=True, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
+    count = min(count, len(op.diag) + 1)
+    last = min(count, len(op.diag)) - 1
+    # Bisection to full precision (tol), so that equal chains give equal mu.
+    mu = eigh_tridiagonal(op.diag, op.off, True, "i", (0, last), tol=np.finfo(float).tiny)
+    # Gershgorin bounds close the first bracket below and, for count = dim, the last above.
+    radius = np.abs(op.b) + np.abs(np.r_[op.off, 0.0]) + np.abs(np.r_[0.0, op.off])
+    bound = np.sum(np.abs(op.b))
+    lower = min(op.a - bound, np.min(op.diag - radius))
+    upper = max(op.a + bound, np.max(op.diag + radius))
+    ends = np.r_[lower, mu, upper]
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(ends))  # the rounding level of s / s'
+    rhs = op.b[:, None]
+    off = op.off if len(op.off) else np.zeros(1)  # gtsv's wrapper wants one entry at dim 1
+
+    def root(lo, hi):
+        # Inside (lo, hi), lambda < sigma iff s(sigma) < 0; s' = -1 - |x|^2.
+        sigma = 0.5 * (lo + hi)
+        while hi - lo > tol:
+            x = dgtsv(off, op.diag - sigma, off, rhs)[3][:, 0]
+            s = op.a - sigma - op.b @ x
+            lo, hi = (lo, sigma) if s < 0.0 else (sigma, hi)
+            newton = sigma + s / (1.0 + x @ x)
+            if abs(newton - sigma) <= tol:
+                return newton
+            sigma = newton if lo < newton < hi else 0.5 * (lo + hi)
+        return sigma
+
+    lam = np.array([root(ends[k], ends[k + 1]) for k in range(count)])
+    # A root within tol of its bracket's end is that mu (a removable pole, b^T v = 0).
+    low, high = ends[:count], ends[1 : count + 1]
+    return np.where(lam - low <= tol, low, np.where(high - lam <= tol, high, lam))
 
 
 def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float) -> np.ndarray:

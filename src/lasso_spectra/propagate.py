@@ -36,6 +36,10 @@ def phi_pair(lam, h: float):
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     z = lam_arr * (h * h)
+    if z.min(initial=np.inf) > SERIES_SWITCH:  # every lambda > 0 and off the series: no masks
+        rho = np.sqrt(lam_arr)
+        phi0, phi1 = np.cos(rho * h), np.sin(rho * h) / rho
+        return (float(phi0[0]), float(phi1[0])) if scalar else (phi0, phi1)
     phi0 = np.empty_like(lam_arr)
     phi1 = np.empty_like(lam_arr)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eig_banded, eigh
+from scipy.linalg import eigh
 
 from lasso_spectra import checks
 from lasso_spectra.errors import GridTooCoarse
@@ -21,18 +21,22 @@ FREE_LOW_SPECTRUM = [0.0, 0.25, 4.0 / 9.0, 16.0 / 9.0, 2.25, 4.0, 4.0]
 
 
 def _full(op: DiscreteOperator) -> np.ndarray:
-    """The symmetric matrix stored in op.matrix (matrix[i, k] = A[i + k, i])."""
-    dim, width = op.matrix.shape
+    """The symmetric matrix [[a, b^T], [b, T]] stored in op, T = tridiag(off, diag, off)."""
+    dim = len(op.diag) + 1
     a = np.zeros((dim, dim))
-    for k in range(width):
-        i = np.arange(dim - k)
-        a[i + k, i] = op.matrix[i, k]
-        a[i, i + k] = op.matrix[i, k]
+    a[0, 0], a[0, 1:], a[1:, 0] = op.a, op.b, op.b
+    i = np.arange(1, dim)
+    a[i, i] = op.diag
+    a[i[:-1], i[1:]] = op.off
+    a[i[1:], i[:-1]] = op.off
     return a
 
 
 def test_toy_matrix_eigenvalues():
-    op = DiscreteOperator(np.array([[2.0, -1.0], [2.0, 0.0]]), (1.0,), Problem.neumann(), 50)
+    # The vertex plus a one-node chain: [[2, -1], [-1, 2]].
+    op = DiscreteOperator(
+        np.array([2.0]), np.array([]), np.array([-1.0]), 2.0, (1.0,), Problem.neumann(), 50
+    )
     assert np.allclose(oracle_eigs(op, 2), [1.0, 3.0])
 
 
@@ -64,8 +68,9 @@ def test_richardson_extrapolation_free(pi_lasso):
 
 def test_constant_zero_mode_for_full_problem(pi_lasso):
     op = discretize(pi_lasso, Problem.neumann(), 60)
-    vals, vecs = eig_banded(op.matrix.T, lower=True, select="i", select_range=(0, 0))
+    vals, vecs = eigh(_full(op), subset_by_index=(0, 0))
     assert abs(vals[0]) < 1e-10
+    assert abs(oracle_eigs(op, 1)[0]) < 1e-10
     # Undo the mass normalization: the zero mode is constant on the graph.
     # Mass weights are sqrt of the lumped masses used in discretize.
     u = vecs[:, 0]
@@ -98,9 +103,17 @@ def test_pinned_oracle_with_negative_eigenvalue(delta_lasso):
     assert np.max(rel) <= 1e-3
 
 
-def _band_matches_dense(graph, problem, ppu):
+def _chain_solve_matches_dense(graph, problem, ppu):
     op = discretize(graph, problem, ppu)
-    assert op.matrix.shape[1] - 1 <= graph.p + 2, problem.label()
+    # Structure: off is 0 exactly between chains (the cycle's interior, then
+    # each pendant less its pinned end), and b couples the vertex to the
+    # p + 2 chain ends next to it (both ends of the cycle's chain).
+    pinned = problem.j if problem.kind == "dirichlet" else None
+    counts = [round(graph.edge_length(j) / h) for j, h in enumerate(op.h)]
+    last = np.cumsum([n - (j in (0, pinned)) for j, n in enumerate(counts)]) - 1
+    assert np.array_equal(np.flatnonzero(op.off == 0.0), last[:-1]), problem.label()
+    assert np.array_equal(np.flatnonzero(op.b), np.r_[0, last]), problem.label()
+    assert np.count_nonzero(op.b) == graph.p + 2, problem.label()
     got = oracle_eigs(op, 6)
     want = eigh(_full(op), subset_by_index=(0, 5), eigvals_only=True)
     rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
@@ -113,10 +126,10 @@ def _problems(graph):
 
 
 @pytest.mark.parametrize("name", ["pi_lasso", "delta_lasso", "attractive_p3"])
-def test_banded_solve_matches_dense(name, request):
+def test_chain_solve_matches_dense(name, request):
     graph = request.getfixturevalue(name)
     for problem in _problems(graph):
-        got = _band_matches_dense(graph, problem, 60)
+        got = _chain_solve_matches_dense(graph, problem, 60)
         if name == "attractive_p3" and problem.kind == "neumann":
             # The symmetric pendant modes: one double negative eigenvalue, listed twice.
             assert got[1] - got[0] > 0.01
@@ -128,15 +141,63 @@ LENGTHS = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
 EDGES = st.tuples(LENGTHS, st.none() | st.tuples(st.integers(1, 3), st.floats(-0.6, 0.6)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(edges=st.lists(EDGES, min_size=2, max_size=5), data=st.data())
-def test_banded_solve_matches_dense_random(edges, data):
+def _lasso(edges, length_unit="1"):
     # One delta per edge at most, at 1/4, 1/2 or 3/4 of its length.
     lengths = [length for length, _ in edges]
     potentials = [
         None if delta is None else delta_potential(length, length * Fraction(delta[0], 4), delta[1])
         for length, delta in edges
     ]
-    graph = lasso_graph(lengths[0], lengths[1:], potentials=potentials)
+    return lasso_graph(lengths[0], lengths[1:], potentials=potentials, length_unit=length_unit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(edges=st.lists(EDGES, min_size=2, max_size=5), data=st.data())
+def test_chain_solve_matches_dense_random(edges, data):
+    graph = _lasso(edges)
     problem = data.draw(st.sampled_from(_problems(graph)))
-    _band_matches_dense(graph, problem, 50)
+    _chain_solve_matches_dense(graph, problem, 50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cycle=EDGES,
+    pool=st.lists(EDGES, min_size=1, max_size=2),
+    picks=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+    unit=st.sampled_from(["1", "pi"]),
+)
+def test_pinning_a_pendant_interlaces(cycle, pool, picks, unit):
+    # Pendants drawn from a pool of one or two edges, so equal pendants are common.
+    graph = _lasso([cycle] + [pool[i % len(pool)] for i in picks], unit)
+    # Lj's matrix is L's without one dof: lambda_k(L) <= lambda_k(Lj) <= lambda_(k+1)(L).
+    full = oracle_eigs(discretize(graph, Problem.neumann(), 50), 7)
+    for j in range(1, graph.p + 1):
+        pinned = oracle_eigs(discretize(graph, Problem.dirichlet(j), 50), 6)
+        slack = 1e-12 * np.maximum(1.0, np.abs(pinned))
+        assert np.all(full[:6] <= pinned + slack), j
+        assert np.all(pinned <= full[1:] + slack), j
+
+
+@pytest.mark.parametrize(
+    "graph, want",
+    [
+        # The cycle's antisymmetric modes vanish at the vertex (b^T v = 0, a
+        # removable pole of s): with the pendant's mode, a double near 4.
+        (lasso_graph(1, [1], length_unit="pi"), 4.0),
+        # Three equal pendant chains, one triple mu: a double near -0.99238.
+        (
+            lasso_graph(
+                1, [1, 1, 1], potentials=[None] + [delta_potential(1, "1/2", -2.0)] * 3, length_unit="pi"
+            ),
+            -0.99238,
+        ),
+    ],
+    ids=["removable_pole", "triple_chain_eigenvalue"],
+)
+def test_degenerate_brackets_match_dense(graph, want):
+    op = discretize(graph, Problem.neumann(), 60)
+    got = oracle_eigs(op, 6)
+    dense = eigh(_full(op), subset_by_index=(0, 5), eigvals_only=True)
+    assert np.max(np.abs(got - dense) / np.maximum(1.0, np.abs(dense))) <= 1e-10
+    double = np.flatnonzero(np.abs(got - want) < 1e-3)
+    assert len(double) == 2 and got[double[1]] - got[double[0]] <= 1e-8

@@ -80,6 +80,22 @@ def test_phi_pair_array_matches_scalar():
         assert phi0[i] == s0 and phi1[i] == s1
 
 
+@pytest.mark.parametrize("h", [0.3, math.pi / 7, 2.0])
+def test_phi_pair_positive_fast_path_is_bit_identical(h):
+    # Block 0 straddles 0 and the series switch (the masked path); the blocks
+    # of charfn.BLOCK_POINTS = 4096 after it lie past the switch (no masks).
+    switch = SERIES_SWITCH / (h * h)
+    lam = np.r_[np.linspace(-3 * switch, 3 * switch, 101), np.linspace(4 * switch, 60.0, 3 * 4096 + 37)]
+    assert lam[4096] * h * h > SERIES_SWITCH
+    whole = phi_pair(lam, h)
+    past = np.flatnonzero(lam * h * h > SERIES_SWITCH)
+    blocks = [slice(start, start + 4096) for start in range(0, lam.size, 4096)]
+    for part in blocks + [past, past[:37], past[-4097:]]:
+        got = phi_pair(lam[part], h)
+        assert got[0].tobytes() == whole[0][part].tobytes()
+        assert got[1].tobytes() == whole[1][part].tobytes()
+
+
 def test_step_matrix_free_forms():
     rho = 1.7
     m = step_matrix(0.0, 1.0, rho**2)
