@@ -191,10 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, problems=("L", "Lj")):
         p.add_argument("--config", required=True, help="graph JSON config path")
-        p.add_argument("--problem", choices=("L", "Lj"), default="L")
-        p.add_argument("--j", type=int, default=None, help="pendant index for Lj")
+        p.add_argument("--problem", choices=problems, default="L")
+        if "Lj" in problems:
+            p.add_argument("--j", type=int, default=None, help="pendant index for Lj")
         p.add_argument("--out", default=None, help="output path (base path for multi-file output)")
 
     p_charfn = sub.add_parser("charfn", help="evaluate a characteristic function on a grid")
@@ -216,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--lambda", dest="lam", default=None, help="lambda grid start:stop:step")
     p_rec.set_defaults(func=cmd_reconstruct)
 
-    p_ver = sub.add_parser("verify", help="run the invariant suite on a config")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", help="run the invariant suite on a config (problem L)")
+    common(p_ver, problems=("L",))
     p_ver.add_argument("--rho-max", type=float, default=None)
     p_ver.add_argument("--n-max", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)

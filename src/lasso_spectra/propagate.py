@@ -26,6 +26,17 @@ import numpy as np
 SERIES_SWITCH = 1e-4
 
 
+def _trig(lam, h: float):
+    rho = np.sqrt(lam)
+    return np.cos(rho * h), np.sin(rho * h) / rho
+
+
+def _hyp(lam, h: float):
+    kappa = np.sqrt(-lam)
+    with np.errstate(over="ignore"):  # beyond kappa*h ~ 709 the honest value is inf
+        return np.cosh(kappa * h), np.sinh(kappa * h) / kappa
+
+
 def phi_pair(lam, h: float):
     """The pair (phi0, phi1) with phi0 = cos(rho h), phi1 = sin(rho h)/rho.
 
@@ -36,29 +47,24 @@ def phi_pair(lam, h: float):
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     z = lam_arr * (h * h)
-    if z.min(initial=np.inf) > SERIES_SWITCH:  # every lambda > 0 and off the series: no masks
-        rho = np.sqrt(lam_arr)
-        phi0, phi1 = np.cos(rho * h), np.sin(rho * h) / rho
-        return (float(phi0[0]), float(phi1[0])) if scalar else (phi0, phi1)
-    phi0 = np.empty_like(lam_arr)
-    phi1 = np.empty_like(lam_arr)
-
-    small = np.abs(z) <= SERIES_SWITCH
-    pos = ~small & (lam_arr > 0)
-    neg = ~small & (lam_arr < 0)
-
-    rho = np.sqrt(lam_arr[pos])
-    phi0[pos] = np.cos(rho * h)
-    phi1[pos] = np.sin(rho * h) / rho
-    kappa = np.sqrt(-lam_arr[neg])
-    with np.errstate(over="ignore"):  # beyond kappa*h ~ 709 the honest value is inf
-        phi0[neg] = np.cosh(kappa * h)
-        phi1[neg] = np.sinh(kappa * h) / kappa
-    zs = z[small]
-    phi0[small] = 1.0 + zs * (-1.0 / 2 + zs * (1.0 / 24 + zs * (-1.0 / 720 + zs / 40320)))
-    phi1[small] = h * (
-        1.0 + zs * (-1.0 / 6 + zs * (1.0 / 120 + zs * (-1.0 / 5040 + zs / 362880)))
-    )
+    # One sign past the series on the whole array: no masks or scatters.
+    if z.min(initial=np.inf) > SERIES_SWITCH:
+        phi0, phi1 = _trig(lam_arr, h)
+    elif z.max() < -SERIES_SWITCH:
+        phi0, phi1 = _hyp(lam_arr, h)
+    else:
+        phi0 = np.empty_like(lam_arr)
+        phi1 = np.empty_like(lam_arr)
+        small = np.abs(z) <= SERIES_SWITCH
+        pos = ~small & (lam_arr > 0)
+        neg = ~small & (lam_arr < 0)
+        phi0[pos], phi1[pos] = _trig(lam_arr[pos], h)
+        phi0[neg], phi1[neg] = _hyp(lam_arr[neg], h)
+        zs = z[small]
+        phi0[small] = 1.0 + zs * (-1.0 / 2 + zs * (1.0 / 24 + zs * (-1.0 / 720 + zs / 40320)))
+        phi1[small] = h * (
+            1.0 + zs * (-1.0 / 6 + zs * (1.0 / 120 + zs * (-1.0 / 5040 + zs / 362880)))
+        )
 
     if scalar:
         return float(phi0[0]), float(phi1[0])

@@ -91,17 +91,21 @@ def smallest_period(poly: TrigPoly) -> float:
 
 
 class _TrigExpr:
-    """Exact-rational work form: {(kind, freq, power): Fraction coefficient}.
+    """Exact work form: {(kind, freq, power): coef}, scaled by 2**-shift.
 
-    A term is coef * rho**power * trig(freq * unit * rho), trig = cos or sin.
-    Integers stand for constants, so the expression supports the +, * and
-    integer constants that `charfn.assemble` uses.
+    A term is coef / 2**shift * rho**power * trig(freq / den * unit * rho),
+    trig = cos or sin. Frequencies are integers over a common denominator den
+    of the edge lengths (to_poly takes it), and coefficients are integers over
+    one power-of-two scale, which the halving of each product-to-sum step
+    keeps exact. Integers stand for constants, so the expression supports the
+    +, * and integer constants that `charfn.assemble` uses.
     """
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[str, Fraction, int], Fraction] = dict(terms or {})
+    def __init__(self, terms=None, shift: int = 0):
+        self.terms: dict[tuple[str, int, int], int] = dict(terms or {})
+        self.shift = shift
 
-    def _add(self, kind: str, freq: Fraction, power: int, coef: Fraction):
+    def _add(self, kind: str, freq: int, power: int, coef: int):
         if freq < 0:
             freq = -freq
             if kind == "sin":
@@ -109,7 +113,7 @@ class _TrigExpr:
         if kind == "sin" and freq == 0:
             return
         key = (kind, freq, power)
-        new = self.terms.get(key, Fraction(0)) + coef
+        new = self.terms.get(key, 0) + coef
         if new == 0:
             self.terms.pop(key, None)
         else:
@@ -119,25 +123,24 @@ class _TrigExpr:
     def _of(x) -> "_TrigExpr":
         if isinstance(x, _TrigExpr):
             return x
-        out = _TrigExpr()
-        out._add("cos", Fraction(0), 0, Fraction(x))
-        return out
+        return _TrigExpr({("cos", 0, 0): x} if x else {})
 
     def __add__(self, other) -> "_TrigExpr":
-        out = _TrigExpr(self.terms)
-        for (kind, freq, power), coef in self._of(other).terms.items():
-            out._add(kind, freq, power, coef)
+        other = self._of(other)
+        shift = max(self.shift, other.shift)
+        out = _TrigExpr({key: c << (shift - self.shift) for key, c in self.terms.items()}, shift)
+        for (kind, freq, power), coef in other.terms.items():
+            out._add(kind, freq, power, coef << (shift - other.shift))
         return out
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "_TrigExpr":
-        out = _TrigExpr()
         other = self._of(other)
-        half = Fraction(1, 2)
+        out = _TrigExpr(shift=self.shift + other.shift + 1)  # every product halves
         for (k1, f1, n1), c1 in self.terms.items():
             for (k2, f2, n2), c2 in other.terms.items():
-                c, n = c1 * c2 * half, n1 + n2
+                c, n = c1 * c2, n1 + n2
                 if k1 == "cos" and k2 == "cos":
                     out._add("cos", f1 - f2, n, c)
                     out._add("cos", f1 + f2, n, c)
@@ -154,23 +157,23 @@ class _TrigExpr:
 
     __rmul__ = __mul__
 
-    def to_poly(self, kind: str, power: int, unit: float) -> TrigPoly:
+    def to_poly(self, kind: str, power: int, unit: float, den: int) -> TrigPoly:
         bad = [k for k in self.terms if k[0] != kind or k[2] != power]
         assert not bad, f"unexpected terms {bad} beside {kind} * rho**{power}"
         items = sorted(self.terms.items(), key=lambda kv: kv[0][1])
-        freqs = tuple(f for (_, f, _), _ in items)
-        coefs = tuple(c for _, c in items)
+        freqs = tuple(Fraction(f, den) for (_, f, _), _ in items)
+        coefs = tuple(Fraction(c, 1 << self.shift) for _, c in items)
         return TrigPoly(kind, freqs, coefs, unit)
 
 
-def _free_edge(length: Fraction) -> FundamentalSolution:
-    """Zero-potential endpoint values: C = cos, C1 = -rho sin, S = sin/rho, S1 = cos."""
-    one = Fraction(1)
+def _free_edge(freq: int) -> FundamentalSolution:
+    """Zero-potential endpoint values: C = cos, C1 = -rho sin, S = sin/rho, S1 = cos,
+    at the edge length freq / den."""
     return FundamentalSolution(
-        C=_TrigExpr({("cos", length, 0): one}),
-        C1=_TrigExpr({("sin", length, 1): -one}),
-        S=_TrigExpr({("sin", length, -1): one}),
-        S1=_TrigExpr({("cos", length, 0): one}),
+        C=_TrigExpr({("cos", freq, 0): 1}),
+        C1=_TrigExpr({("sin", freq, 1): -1}),
+        S=_TrigExpr({("sin", freq, -1): 1}),
+        S1=_TrigExpr({("cos", freq, 0): 1}),
     )
 
 
@@ -184,10 +187,11 @@ def expand_free_charfn(graph, problem: Problem = Problem.neumann()) -> TrigPoly:
     """
     graph = validate(graph)
     problem.check(graph)
-    expr = assemble([_free_edge(e.length) for e in graph.edges], problem.j)
+    den = math.lcm(*(e.length.denominator for e in graph.edges))
+    expr = assemble([_free_edge(int(e.length * den)) for e in graph.edges], problem.j)
     if problem.kind == "neumann":
-        return expr.to_poly("cos", 0, graph.unit_value)
-    return expr.to_poly("sin", -1, graph.unit_value)
+        return expr.to_poly("cos", 0, graph.unit_value, den)
+    return expr.to_poly("sin", -1, graph.unit_value, den)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,20 @@ def test_verify_passes_on_free_fixture(capsys):
     assert bijection["detail"] == {"entries": n, "grid_points": n, "windows_ok": True}
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [("--problem", "Lj"), ("--j", "1"), ("--problem", "Lj", "--j", "1")],
+    ids=["problem", "j", "both"],
+)
+def test_verify_rejects_a_pinned_problem(capsys, extra):
+    # verify checks L only: a pinned problem is refused, not silently checked as L.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", DELTA, *extra])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and extra[0] in out.err
+
+
 VERIFY_CHECKS = [
     "wronskian", "free_closed_form", "periodicity", "catalog_bijection", "oracle_agreement",
     "reconstruction_round_trip", "normalization_limit", "epsilon_diagnostics",

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from lasso_spectra import checks
 from lasso_spectra.errors import GridTooCoarse
@@ -201,3 +202,73 @@ def test_degenerate_brackets_match_dense(graph, want):
     assert np.max(np.abs(got - dense) / np.maximum(1.0, np.abs(dense))) <= 1e-10
     double = np.flatnonzero(np.abs(got - want) < 1e-3)
     assert len(double) == 2 and got[double[1]] - got[double[0]] <= 1e-8
+
+
+FIXTURES = ["pi_lasso", "delta_lasso", "attractive_p3"]
+
+
+def _record_solves(monkeypatch) -> list:
+    """Record the diagonal, diag - sigma, of every dgtsv solve."""
+    solves, dgtsv = [], scipy.linalg.lapack.dgtsv
+
+    def recording(dl, d, du, b, *args, **kwargs):
+        solves.append(d)
+        return dgtsv(dl, d, du, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", recording)
+    return solves
+
+
+def test_solve_counts(monkeypatch, request):
+    solves = _record_solves(monkeypatch)
+    warm, eigenvalues = 0, 0
+    for name in FIXTURES:
+        graph = request.getfixturevalue(name)
+        for problem in _problems(graph):
+            op = discretize(graph, problem, 60)
+            mu0 = eigh_tridiagonal(op.diag, op.off, True, "i", (0, 0))[0]
+            solves.clear()
+            oracle_eigs(op, 6)
+            cold = len(solves)
+            # Only the first bracket's shifts sigma lie below mu_0.
+            first = sum(1 for d in solves if op.diag[0] - d[0] < mu0)
+            assert first <= 8, (name, problem.label(), first)
+            solves.clear()
+            richardson_eigs(graph, problem, 6, 60)
+            warm += len(solves) - cold  # the coarse solve in it is oracle_eigs(op, 6)
+            eigenvalues += 6
+    assert warm <= 3 * eigenvalues, warm / eigenvalues
+
+
+def _cold_richardson(graph, problem, count, ppu):
+    coarse = oracle_eigs(discretize(graph, problem, ppu), count)
+    fine = oracle_eigs(discretize(graph, problem, 2 * ppu), count)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _assert_continuation_matches_cold(graph, problem, count, ppu):
+    got = richardson_eigs(graph, problem, count, ppu)
+    want = _cold_richardson(graph, problem, count, ppu)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10, problem.label()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_richardson_continuation_matches_cold_solves(name, request):
+    graph = request.getfixturevalue(name)
+    for problem in _problems(graph):
+        _assert_continuation_matches_cold(graph, problem, 6, 60)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cycle=EDGES,
+    pool=st.lists(EDGES, min_size=1, max_size=2),
+    picks=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+    count=st.integers(1, 8),
+    data=st.data(),
+)
+def test_richardson_continuation_matches_cold_solves_random(cycle, pool, picks, count, data):
+    # Pendants drawn from a pool of one or two edges, so equal chains (equal mu) are common.
+    graph = _lasso([cycle] + [pool[i % len(pool)] for i in picks])
+    problem = data.draw(st.sampled_from(_problems(graph)))
+    _assert_continuation_matches_cold(graph, problem, count, 50)

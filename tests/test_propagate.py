@@ -96,6 +96,26 @@ def test_phi_pair_positive_fast_path_is_bit_identical(h):
         assert got[1].tobytes() == whole[1][part].tobytes()
 
 
+@pytest.mark.parametrize("h", [0.3, math.pi / 7, 2.0])
+def test_phi_pair_negative_fast_path_is_bit_identical(h):
+    # The blocks of charfn.BLOCK_POINTS = 4096 before the last lie below the
+    # series switch, down past cosh overflow (no masks); the last straddles
+    # the switch and 0 (the masked path).
+    switch = SERIES_SWITCH / (h * h)
+    deep = -((720.0 / h) ** 2)  # cosh(720) overflows
+    lam = np.r_[np.linspace(deep, -4 * switch, 3 * 4096 + 37), np.linspace(-3 * switch, 3 * switch, 101)]
+    assert lam[3 * 4096 - 1] * h * h < -SERIES_SWITCH
+    with np.errstate(all="raise"):
+        whole = phi_pair(lam, h)
+        past = np.flatnonzero(lam * h * h < -SERIES_SWITCH)
+        blocks = [slice(start, start + 4096) for start in range(0, lam.size, 4096)]
+        for part in blocks + [past, past[:37], past[-4097:]]:
+            got = phi_pair(lam[part], h)
+            assert got[0].tobytes() == whole[0][part].tobytes()
+            assert got[1].tobytes() == whole[1][part].tobytes()
+    assert np.isinf(whole[0][0]) and np.isinf(whole[1][0])
+
+
 def test_step_matrix_free_forms():
     rho = 1.7
     m = step_matrix(0.0, 1.0, rho**2)

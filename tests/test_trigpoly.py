@@ -16,11 +16,22 @@ from lasso_spectra.graph import Problem, lasso_graph
 from lasso_spectra.oracle import richardson_eigs
 from lasso_spectra.trigpoly import (
     TrigPoly,
+    _TrigExpr,
     build_frame,
     expand_free_charfn,
     frame_to_json,
     smallest_period,
 )
+
+
+def test_trig_expr_sums_across_scales():
+    # cos^2 + cos - 1 = -1/2 + cos + cos(2 x) / 2, x = rho / 3: the product
+    # carries one more halving than the terms it is added to, on either side.
+    x = _TrigExpr({("cos", 1, 0): 1})
+    for expr in (x * x + x + -1, -1 + (x + x * x)):
+        poly = expr.to_poly("cos", 0, 1.0, 3)
+        assert poly.freqs == (0, Fraction(1, 3), Fraction(2, 3))
+        assert poly.coefs == (Fraction(-1, 2), 1, Fraction(1, 2))
 
 
 def test_expansion_p1_unit_lengths(unit_lasso_p1):
