@@ -1,8 +1,10 @@
 """Dense-scan root bracketing with even-order (tangential) zero detection.
 
-One scan evaluates fn once on the whole grid and then refines every candidate
-at once: fn is called with arrays only, so its cost per scan is the grid plus
-a few dozen vector calls, independent of the number of roots.
+One scan evaluates fn once on the whole grid, resolves the dips of |fn| to
+their lowest points, then refines every crossing and split dip in one pass
+seeded with the end values at hand. fn is called with arrays only, so a scan
+costs the grid plus a few dozen vector calls, however many roots it finds; a
+bracket's iterates depend on that bracket alone, as in separate passes.
 
 There is one refiner, a numpy port of Chandrupatla's bracketing root finder
 (Adv. Eng. Software 28, 1997) as scipy.optimize.elementwise implements it,
@@ -29,8 +31,9 @@ _ROOT_XRTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAXITER = 2046  # log2 of the largest over the smallest normal float
 
 
-def _roots_in(fn, lo, hi, args=()):
-    """Vector bracket refinement: one root of fn(x, *args) in each [lo, hi].
+def _roots_in(fn, lo, hi, f_lo, f_hi, args=()):
+    """Vector bracket refinement: one root of fn(x, *args) in each [lo, hi],
+    where fn takes the values f_lo and f_hi, which the caller already holds.
 
     Chandrupatla's method, ported from scipy.optimize.elementwise.find_root
     with its defaults apart from xatol = XTOL: the same updates, the same
@@ -40,8 +43,7 @@ def _roots_in(fn, lo, hi, args=()):
     if lo.size == 0:
         return lo
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f1 = np.asarray(fn(x1, *args), dtype=float)
-    f2 = np.asarray(fn(x2, *args), dtype=float)
+    f1, f2 = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
     x3, f3 = x2, f2  # replaced by the first step
     # scipy's frtol = 0 times the smaller end value: nan at an infinite end,
     # which keeps that bracket off the function-value test.
@@ -96,22 +98,19 @@ def _roots_in(fn, lo, hi, args=()):
 
 def _dip_centers(ys, sign, scale):
     """Grid indices where |f| has a local minimum with no sign change across
-    the three-point stencil, low enough to hide a root pair or a touch."""
-    f0, f1, f2 = ys[:-2], ys[1:-1], ys[2:]
-    a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
+    the three-point stencil, low enough to hide a root pair or a touch. Only
+    the local-minimum screen runs on the whole grid, the rest on its hits."""
+    a = np.abs(ys)
+    low = a[1:-1] <= a[:-2]
+    low &= a[1:-1] <= a[2:]
+    i = np.flatnonzero(low) + 1
+    s = sign[i]
     # A tangential zero at offset <= step/2 from the stencil center dips to
     # |f| <= curvature * step^2 / 8; the second difference estimates that
     # curvature scale, so the test stays valid for any step size.
-    curvature_bound = 0.75 * np.abs(f0 - 2.0 * f1 + f2)
-    dip = (
-        (sign[:-2] != 0.0)
-        & (sign[:-2] == sign[1:-1])
-        & (sign[1:-1] == sign[2:])
-        & (a1 <= a0)
-        & (a1 <= a2)
-        & (a1 <= np.maximum(DIP_FACTOR * scale, curvature_bound))
-    )
-    return np.flatnonzero(dip) + 1
+    curvature_bound = 0.75 * np.abs(ys[i - 1] - 2.0 * ys[i] + ys[i + 1])
+    same = (s != 0.0) & (sign[i - 1] == s) & (s == sign[i + 1])
+    return i[same & (a[i] <= np.maximum(DIP_FACTOR * scale, curvature_bound))]
 
 
 def _argmins(fn, a, b, sgn):
@@ -142,8 +141,9 @@ def _argmins(fn, a, b, sgn):
     k = np.where(whole, 0, np.where(right, 4 + rise.argmax(0), 3 - fall.argmax(0)))
     ok = whole | np.where(right, rise.any(0), fall.any(0) & (gt[4] > 0.0))
     cols = np.arange(a.size)
-    lo, hi = t[k, cols], np.where(whole, b, t[k + 1, cols])
-    out[ok] = _roots_in(g, lo[ok], hi[ok], (h[ok], sgn[ok]))
+    lo, g_lo = t[k, cols], gt[k, cols]
+    hi, g_hi = np.where(whole, b, t[k + 1, cols]), np.where(whole, gt[8], gt[k + 1, cols])
+    out[ok] = _roots_in(g, lo[ok], hi[ok], g_lo[ok], g_hi[ok], (h[ok], sgn[ok]))
     return out
 
 
@@ -156,7 +156,7 @@ def _merge(xs, mults, tol):
     starts = np.flatnonzero(np.concatenate([[True], np.diff(xs[order]) > tol]))
     first = np.minimum.reduceat(order, starts)
     mult = np.maximum.reduceat(mults[order], starts)
-    return [(float(x), int(m)) for x, m in zip(xs[first], mult)]
+    return list(zip(xs[first].tolist(), mult.tolist()))
 
 
 def scan_roots(fn, lo: float, hi: float, n_points: int):
@@ -181,14 +181,10 @@ def scan_roots(fn, lo: float, hi: float, n_points: int):
     right = sign[np.clip(hits + 1, 0, n_points)]
     hit_mult = np.where(inner & (left != 0.0) & (left == right), 2, 1)
 
-    # Sign changes between nonzero neighbours.
-    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    crossings = _roots_in(fn, xs[cells], xs[cells + 1])
-
-    # Tangential zeros and sub-cell root pairs.
+    # Tangential zeros and sub-cell root pairs: each dip's lowest point xm.
     centers = _dip_centers(ys, sign, scale)
-    a, b, sgn = xs[centers - 1], xs[centers + 1], sign[centers]
-    xm = _argmins(fn, a, b, sgn)
+    a, b, sgn = centers - 1, centers + 1, sign[centers]
+    xm = _argmins(fn, xs[a], xs[b], sgn)
     a, b, sgn, xm = (v[np.isfinite(xm)] for v in (a, b, sgn, xm))
     # sgn * fn at the argmin decides: below -TOUCH_FACTOR * scale, a root on
     # either side of it; within TOUCH_FACTOR * scale of 0, a touch at it;
@@ -196,15 +192,20 @@ def scan_roots(fn, lo: float, hi: float, n_points: int):
     gm = sgn * np.asarray(fn(xm), dtype=float) if xm.size else xm
     split = gm <= -TOUCH_FACTOR * scale
     touches = xm[np.abs(gm) <= TOUCH_FACTOR * scale]
-    pairs = _roots_in(
+
+    # Sign changes between nonzero neighbours, and the split dips' pairs,
+    # refined in one pass from the end values at hand (fn(xm) = sgn * gm).
+    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    a, b, fm = a[split], b[split], sgn[split] * gm[split]
+    roots = _roots_in(
         fn,
-        np.concatenate([a[split], xm[split]]),
-        np.concatenate([xm[split], b[split]]),
+        np.concatenate([xs[cells], xs[a], xm[split]]),
+        np.concatenate([xs[cells + 1], xm[split], xs[b]]),
+        np.concatenate([ys[cells], ys[a], fm]),
+        np.concatenate([ys[cells + 1], fm, ys[b]]),
     )
 
     # Earlier stages win position ties in the merge: an exact grid hit is exact.
-    found = np.concatenate([xs[hits], crossings, pairs, touches])
-    mults = np.concatenate(
-        [hit_mult, np.ones(crossings.size + pairs.size, dtype=int), np.full(touches.size, 2)]
-    )
+    found = np.concatenate([xs[hits], roots, touches])
+    mults = np.concatenate([hit_mult, np.ones(roots.size, dtype=int), np.full(touches.size, 2)])
     return _merge(found, mults, MERGE_FACTOR * max(1.0, hi - lo)), scale

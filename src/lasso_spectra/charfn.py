@@ -10,7 +10,8 @@ values (C, C^{[1]}, S, S^{[1]}) of every edge:
 where the pendant end pair (u_k, u_k') is (C_k, C_k^{[1]}). The pinned
 problem Lj replaces the end condition of pendant j by y(0) = 0, which swaps
 that pendant's pair for (S_j, S_j^{[1]}); nothing else changes. Zeros (with
-multiplicity) are the eigenvalues.
+multiplicity) are the eigenvalues. So each pendant propagates only the column
+of its pair, and the cycle its whole propagator.
 
 Sign convention: the global (-1)^p matches the closed form of the
 zero-potential function, so that the ratio of perturbed to free
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import NearPole
 from .graph import Problem, ValidatedGraph, validate
-from .propagate import FundamentalSolution, fundamental_solutions, phi_table
+from .propagate import fundamental_solutions, phi_table
 
 # Scale-aware cutoff for pole detection in the Weyl function.
 NEARPOLE_COEF = 1e-9
@@ -39,9 +40,14 @@ NEARPOLE_COEF = 1e-9
 BLOCK_POINTS = 4096
 
 
-def _solutions(graph: ValidatedGraph, lam) -> list[FundamentalSolution]:
+def _evaluate(graph: ValidatedGraph, lam, j: int):
+    """assemble(., j) on what it reads: the cycle's whole propagator, and on
+    each pendant the column of its end pair."""
     phis = phi_table([h for segs in graph.segments for _, h in segs], lam)
-    return [fundamental_solutions(segs, lam, phis) for segs in graph.segments]
+    columns = [None] + ["S" if k == j else "C" for k in range(1, len(graph.segments))]
+    return assemble(
+        [fundamental_solutions(s, lam, phis, c) for s, c in zip(graph.segments, columns)], j
+    )
 
 
 def assemble(fs, j: int):
@@ -65,12 +71,12 @@ def charfn_for(graph, problem: Problem, lam):
     problem.check(graph)
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.size <= BLOCK_POINTS:
-        return assemble(_solutions(graph, lam), problem.j)
+        return _evaluate(graph, lam, problem.j)
     flat = lam_arr.ravel()
     out = np.empty_like(flat)
     for start in range(0, flat.size, BLOCK_POINTS):
         block = flat[start : start + BLOCK_POINTS]
-        out[start : start + BLOCK_POINTS] = assemble(_solutions(graph, block), problem.j)
+        out[start : start + BLOCK_POINTS] = _evaluate(graph, block, problem.j)
     return out.reshape(lam_arr.shape)
 
 

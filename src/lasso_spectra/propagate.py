@@ -6,7 +6,8 @@ is the first-order system (y, u)' = A (y, u), A = [[sigma, 1], [-sigma^2-lambda,
 length h is exactly phi0(lambda, h) I + phi1(lambda, h) A, where phi0, phi1 are
 the entire-in-lambda cosine/sinc pair. Multiplying segment propagators gives the
 endpoint values of the fundamental solutions C (state (1,0) at x=0) and S
-(state (0,1)) with no discretization error beyond rounding.
+(state (0,1)) with no discretization error beyond rounding. Where only one of
+them is needed, its column alone is propagated, with the same products.
 
 Edges enter as float (sigma, h) segments, compiled once per graph
 (ValidatedGraph.segments). One evaluation computes phi_pair once per distinct
@@ -118,29 +119,35 @@ def step_matrix(sigma: float, h: float, lam) -> StateMatrix:
 
 @dataclass(frozen=True)
 class FundamentalSolution:
-    """Endpoint values C, C^{[1]}, S, S^{[1]} at x = |e| for a given lambda."""
+    """Endpoint values C, C^{[1]}, S, S^{[1]} at x = |e| for a given lambda
+    (None for a column not propagated)."""
 
-    C: object
-    C1: object
-    S: object
-    S1: object
+    C: object = None
+    C1: object = None
+    S: object = None
+    S1: object = None
 
     def wronskian(self):
         return self.C * self.S1 - self.C1 * self.S
 
 
-def fundamental_solutions(segments, lam, phis=None) -> FundamentalSolution:
+def fundamental_solutions(segments, lam, phis=None, column=None) -> FundamentalSolution:
     """Ordered product of the propagators of an edge's compiled (sigma, h)
     segments (EdgeSpec.segments); its columns are (C, C1) and (S, S1).
 
     phis is a phi_table at this lambda covering every h, shared by the edges
-    of one evaluation; without it the table is built here.
+    of one evaluation; without it the table is built here. column "C" or "S"
+    propagates that column alone and leaves the other pair None; a column
+    takes the same products as in the whole matrix.
     """
     lam = _lam_value(lam)
     if phis is None:
         phis = phi_table([h for _, h in segments], lam)
-    (sigma, h), *rest = segments
-    m = _step(sigma, lam, *phis[h])
-    for sigma, h in rest:
-        m = _step(sigma, lam, *phis[h]) @ m
-    return FundamentalSolution(C=m.a, C1=m.c, S=m.b, S1=m.d)
+    first, *rest = (_step(sigma, lam, *phis[h]) for sigma, h in segments)
+    ends = {}
+    for name in ("C", "S") if column is None else (column,):
+        y, u = (first.a, first.c) if name == "C" else (first.b, first.d)
+        for step in rest:
+            y, u = step.a * y + step.b * u, step.c * y + step.d * u
+        ends[name], ends[name + "1"] = y, u
+    return FundamentalSolution(**ends)

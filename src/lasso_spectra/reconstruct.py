@@ -76,15 +76,16 @@ class ReconstructionResult:
 
 
 def _truncation_entries(catalog: SpectrumCatalog, frame: AsymptoticFrame, n_max: int):
+    """Arrays k, n, lam, lam0 = rho0^2 of the entries with |n| <= n_max."""
     if not catalog.covers_truncation(n_max):
         raise InsufficientCatalog(
             f"catalog (rho_max = {catalog.rho_max}) does not cover |n| <= {n_max}"
         )
-    wanted = frame.truncation_slots(n_max)
-    picked = [e for e in catalog.entries if (e.k, e.n) in wanted]
+    k, n, lam, rho0 = catalog.columns
+    picked = np.flatnonzero(frame.in_truncation(k, n, n_max)[0])
     # Near-cancelling factor pairs first: ascending |n|, families interleaved.
-    picked.sort(key=lambda e: (abs(e.n), e.k, e.n))
-    return picked
+    picked = picked[np.lexsort((n[picked], k[picked], np.abs(n[picked])))]
+    return k[picked], n[picked], lam[picked], rho0[picked] * rho0[picked]
 
 
 def _tail_integral(u0: float, lam):
@@ -105,12 +106,13 @@ def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
     """Estimated log of the factors beyond |n| = n_max, sum_k c_k S_k(lam)
     (see the module docstring). Each side of a two-sided family has its own
     tail, which starts midway between its last kept and first dropped rho0."""
+    k, n, lam_e, lam0 = entries
+    upper = 2 * np.abs(n) > n_max
+    shift = lam_e - lam0
     out = np.zeros_like(lam)
     for fam in frame.families:
-        shifts = [
-            e.lam - e.rho0 * e.rho0 for e in entries if e.k == fam.index and 2 * abs(e.n) > n_max
-        ]
-        if not shifts:
+        shifts = shift[upper & (k == fam.index)]
+        if not shifts.size:
             continue
         c = float(np.mean(shifts)) / frame.tau  # per unit of rho0 along the family
         sides = (1, -1) if fam.first is None else (1,)
@@ -123,8 +125,7 @@ def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
 def _factor_product(entries, lam):
     """The ratio factors of all entries moved off their grid point, one row
     per entry over a block of the grid, multiplied row by row in entry order."""
-    lam_e = np.array([e.lam for e in entries], dtype=float)
-    lam0 = np.array([e.rho0 * e.rho0 for e in entries], dtype=float)
+    _, _, lam_e, lam0 = entries
     moved = ~(np.abs(lam_e - lam0) <= SNAP_ZERO)  # an unmoved factor is exactly 1
     lam_e, lam0 = lam_e[moved, None], lam0[moved, None]
     out = np.empty_like(lam)
@@ -141,8 +142,7 @@ def _factor_product(entries, lam):
 def _flagged(entries, grid):
     """Grid points within GRID_EIG_TOL of some lambda0: the nearest lambda0 on
     either side of each point decides."""
-    lam0 = np.sort([e.rho0 * e.rho0 for e in entries])
-    lam0 = np.concatenate([[-np.inf], lam0, [np.inf]])
+    lam0 = np.concatenate([[-np.inf], np.sort(entries[3]), [np.inf]])
     right = np.minimum(np.searchsorted(lam0, grid), lam0.size - 1)
     with np.errstate(invalid="ignore"):
         near_left = np.abs(grid - lam0[right - 1]) < GRID_EIG_TOL

@@ -15,9 +15,10 @@ or the assignment is reported as failed rather than silently patched.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -140,6 +141,8 @@ class SpectrumCatalog:
 
     window_violations lists low-spectrum entries whose deviation exceeds the
     assignment window; the bijective count keeps their pairing well-defined.
+    columns holds the entries' k, n, lam and rho0 as arrays, in entry order;
+    it is derived from the entries when not given.
     """
 
     entries: tuple[CatalogEntry, ...]
@@ -147,6 +150,15 @@ class SpectrumCatalog:
     rho_max: float
     problem_label: str = "L"
     window_violations: tuple[CatalogEntry, ...] = ()
+    columns: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.columns is None:
+            columns = tuple(
+                np.array([getattr(e, name) for e in self.entries], dtype=dtype)
+                for name, dtype in (("k", int), ("n", int), ("lam", float), ("rho0", float))
+            )
+            object.__setattr__(self, "columns", columns)
 
     def family(self, k: int) -> list[CatalogEntry]:
         sub = [e for e in self.entries if e.k == k]
@@ -157,7 +169,11 @@ class SpectrumCatalog:
         return sorted(e.lam for e in self.entries)
 
     def covers_truncation(self, n_max: int) -> bool:
-        return self.frame.truncation_slots(n_max) <= {(e.k, e.n) for e in self.entries}
+        k, n = self.columns[:2]
+        mask, size = self.frame.in_truncation(k, n, n_max)
+        seen = np.zeros((len(self.frame.families), 2 * n_max + 1), dtype=bool)
+        seen[k[mask], n[mask] + n_max] = True  # a repeated (k, n) counts once
+        return int(seen.sum()) == size
 
 
 def catalog_spectrum(
@@ -175,64 +191,61 @@ def catalog_spectrum(
     slots. Raises ScanResolutionTooCoarse on missing roots and
     AssignmentAmbiguity when a root falls outside every window.
     """
-    slots = frame.slots(rho_max)
+    k, n, rho0 = frame.slot_arrays(rho_max)
     window = frame.window()
 
-    items: list[tuple[float, float, int]] = []  # (rho_for_matching, lambda, root mult)
-    # A double negative eigenvalue is listed twice: the run length is the multiplicity.
-    for lam, run in itertools.groupby(sorted(negatives)):
-        mult = len(list(run))
-        items.extend([(0.0, float(lam), mult)] * mult)
-    for rho, mult in eigs:
-        if rho == 0.0:
-            if mult % 2:
-                raise UnresolvedMultiplicity(f"odd rho-order {mult} at rho = 0")
-            items.extend([(0.0, 0.0, mult)] * (mult // 2))
-        else:
-            items.extend([(float(rho), float(rho) ** 2, mult)] * mult)
-    items.sort(key=lambda t: (t[0], t[1]))
+    odd = [mult for rho, mult in eigs if rho == 0.0 and mult % 2]
+    if odd:
+        raise UnresolvedMultiplicity(f"odd rho-order {odd[0]} at rho = 0")
+    # One row per root: the rho it is matched by, its lambda, its root
+    # multiplicity and the slots it fills. A double negative eigenvalue is
+    # listed twice: the run length is the multiplicity. A zero of d of order
+    # 2m at rho = 0 is the lambda = 0 eigenvalue of multiplicity m.
+    rows = [(0.0, lam, m, m) for lam, m in Counter(negatives).items()]
+    rows += [(float(rho), float(rho) ** 2, m, m // 2 if rho == 0.0 else m) for rho, m in eigs]
+    rows = np.array(rows, dtype=float).reshape(-1, 4)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    rho, lam, mult = np.repeat(rows[:, :3], rows[:, 3].astype(int), axis=0).T
 
-    if slots:
-        cutoff = slots[-1][2] + window
-        items = [it for it in items if it[0] <= cutoff]
-    if len(items) < len(slots):
+    if k.size:
+        keep = rho <= rho0[-1] + window
+        rho, lam, mult = rho[keep], lam[keep], mult[keep]
+    if rho.size < k.size:
         raise ScanResolutionTooCoarse(
-            f"found {len(items)} roots for {len(slots)} grid points on [0, {rho_max}]"
+            f"found {rho.size} roots for {k.size} grid points on [0, {rho_max}]"
         )
-    if len(items) > len(slots):
-        extra = [round(it[0], 6) for it in items[len(slots):]]
+    if rho.size > k.size:
+        extra = [round(r, 6) for r in rho[k.size :].tolist()]
         raise AssignmentAmbiguity(
-            f"{len(items)} roots for {len(slots)} grid points; unmatched roots near {extra}"
+            f"{rho.size} roots for {k.size} grid points; unmatched roots near {extra}"
         )
 
-    entries = []
-    violations = []
     # Deviations shrink like (potential scale) / rho, so the strict window is
     # only meaningful beyond rho ~ sigma_max / window; below that, deviations
     # at the window scale are genuine perturbation effects, not scan failures.
     sigma_max = validate(graph).max_abs_sigma
     low_spectrum = max(2.0 * frame.tau, 2.0 * sigma_max / max(window, 1e-12))
-    for (k, n, rho0), (rho, lam, mult) in zip(slots, items):
-        outside = lam >= 0.0 and abs(rho - rho0) > window
-        if outside and rho0 > low_spectrum:
-            raise AssignmentAmbiguity(
-                f"root rho = {rho} is {abs(rho - rho0):.3e} from its nearest grid point "
-                f"rho0 = {rho0} (window {window:.3e})"
-            )
-        # Negative roots continue the lowest grid branches below lambda = 0
-        # where no rho-window applies; for them and for low-spectrum outliers
-        # the count bijection and the sorted pairing are the guard.
-        if lam >= 0.0 and abs(rho - rho0) <= EPS_SNAP:
-            # Deviations below root-localization precision snap to the grid.
-            rho, lam = rho0, rho0 * rho0
-        entry = CatalogEntry(
-            n=n, k=k, lam=lam, rho=rho, rho0=rho0, eps=rho - rho0, multiplicity=mult
+    # Negative roots continue the lowest grid branches below lambda = 0
+    # where no rho-window applies; for them and for low-spectrum outliers
+    # the count bijection and the sorted pairing are the guard.
+    dev, pos = np.abs(rho - rho0), lam >= 0.0
+    outside = pos & (dev > window)
+    far = outside & (rho0 > low_spectrum)
+    if far.any():
+        i = far.argmax()  # the first one
+        r, r0 = rho[i].item(), rho0[i].item()
+        raise AssignmentAmbiguity(
+            f"root rho = {r} is {abs(r - r0):.3e} from its nearest grid point "
+            f"rho0 = {r0} (window {window:.3e})"
         )
-        entries.append(entry)
-        if outside:
-            violations.append(entry)
-    entries.sort(key=lambda e: (e.rho0, e.k, e.n))
-    return SpectrumCatalog(tuple(entries), frame, rho_max, problem_label, tuple(violations))
+    # Deviations below root-localization precision snap to the grid.
+    snap = pos & (dev <= EPS_SNAP)
+    np.copyto(rho, rho0, where=snap)
+    np.copyto(lam, rho0 * rho0, where=snap)
+    columns = (n, k, lam, rho, rho0, rho - rho0, mult.astype(int))
+    entries = tuple(map(CatalogEntry, *(v.tolist() for v in columns)))
+    violations = tuple(compress(entries, outside.tolist()))
+    return SpectrumCatalog(entries, frame, rho_max, problem_label, violations, (k, n, lam, rho0))
 
 
 def compute_catalog(graph, problem: Problem, rho_max: float) -> SpectrumCatalog:

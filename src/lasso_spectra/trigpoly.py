@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -216,9 +217,6 @@ class Family:
             return range(self.first, hi + 1)
         return range(int(math.ceil((-rho_max - self.alpha) / tau - 1e-12)), hi + 1)
 
-    def n_values_truncation(self, n_max: int) -> range:
-        return range(-n_max if self.first is None else self.first, n_max + 1)
-
 
 @dataclass(frozen=True)
 class AsymptoticFrame:
@@ -239,7 +237,7 @@ class AsymptoticFrame:
         """tau/2 is a zero of d_0 of L: the case the theory excludes."""
         return self.flavor == "cos" and self.half_mult > 0
 
-    @property
+    @cached_property
     def families(self) -> tuple[Family, ...]:
         """Zero families, the sinc zero family, interior, then tau/2 families."""
         fams = [(0.0, None, self.mu0)] * self.mu0
@@ -270,27 +268,39 @@ class AsymptoticFrame:
             return self.tau / 2.0
         return min(b - a for a, b in zip(alphas, alphas[1:]))
 
-    def grid_gap(self) -> float:
-        """Minimal gap between distinct unperturbed grid points."""
+    @cached_property
+    def _window(self) -> float:
         pts = sorted(set(round(r, 12) for _, _, r in self.slots(2.5 * self.tau)))
         gaps = [b - a for a, b in zip(pts, pts[1:]) if b - a > 1e-9]
-        return min(gaps) if gaps else self.tau / 2.0
+        return 0.5 * min(self.delta(), min(gaps) if gaps else self.tau / 2.0)
 
     def window(self) -> float:
-        return 0.5 * min(self.delta(), self.grid_gap())
+        """Half the smaller of delta and the minimal gap between distinct
+        unperturbed grid points, computed once per frame."""
+        return self._window
+
+    def slot_arrays(self, rho_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays k, n, rho0 of all slots with rho0 <= rho_max, sorted by rho0
+        then k then n."""
+        ranges = [fam.n_values(self.tau, rho_max) for fam in self.families]
+        k = np.repeat(np.arange(len(ranges)), [len(r) for r in ranges])
+        n = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
+        rho0 = np.abs(self.tau * n + np.array([fam.alpha for fam in self.families])[k])
+        # Listed by k, then n: a stable sort by rho0 alone gives the order.
+        order = np.argsort(rho0, kind="stable")
+        return k[order], n[order], rho0[order]
 
     def slots(self, rho_max: float) -> list[tuple[int, int, float]]:
         """All (k, n, rho0) with rho0 <= rho_max, sorted by rho0 then k then n."""
-        out = []
-        for fam in self.families:
-            for n in fam.n_values(self.tau, rho_max):
-                out.append((fam.index, n, fam.rho0(n, self.tau)))
-        out.sort(key=lambda t: (t[2], t[0], t[1]))
-        return out
+        return list(zip(*(v.tolist() for v in self.slot_arrays(rho_max))))
 
-    def truncation_slots(self, n_max: int) -> set[tuple[int, int]]:
-        """The (k, n) slots of the product truncated at |n| <= n_max."""
-        return {(f.index, n) for f in self.families for n in f.n_values_truncation(n_max)}
+    def in_truncation(self, k, n, n_max: int) -> tuple[np.ndarray, int]:
+        """Which of the (k, n) pairs are slots of the product truncated at
+        |n| <= n_max, and how many slots that product has."""
+        first = np.array([-n_max if f.first is None else f.first for f in self.families])
+        known = (k >= 0) & (k < first.size)
+        mask = known & (n <= n_max) & (n >= first[np.where(known, k, 0)])
+        return mask, int(np.maximum(n_max + 1 - first, 0).sum())
 
     def eval_lambda(self, lam):
         """d_0 as an entire function of lambda (cos/sinc terms via phi0/phi1)."""
@@ -361,11 +371,12 @@ def _simple_roots(factor: list[int], g: Fraction, unit: float, half: float) -> n
     fn = TrigPoly("cos", tuple(k * g for k in range(len(form))), tuple(form), unit)
     for doubling in range(12):
         xs = np.linspace(0.0, half, 2**doubling * 8 * len(factor) + 1)
-        sign = np.sign(fn(xs))
+        ys = fn(xs)
+        sign = np.sign(ys)
         cells = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
         if cells.size >= len(factor) - 1:
             break
-    return _roots_in(fn, xs[cells], xs[cells + 1])
+    return _roots_in(fn, xs[cells], xs[cells + 1], ys[cells], ys[cells + 1])
 
 
 def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:

@@ -142,14 +142,16 @@ def test_charfn_for_dispatch(pi_lasso):
 
 
 def test_blocked_evaluation_matches_whole_array(delta_lasso):
-    """Arrays longer than BLOCK_POINTS are evaluated block by block; the
-    values are those of one whole-array evaluation, byte for byte."""
+    """Arrays longer than BLOCK_POINTS are evaluated block by block, and each
+    pendant propagates only the column that assemble reads; the values are
+    those of the whole propagators over the whole array, byte for byte."""
     n = 3 * charfn.BLOCK_POINTS + 17
     lam = np.concatenate(
         [np.linspace(-400.0, -1e-3, n // 3), np.linspace(-1e-5, 1e-5, 101), np.linspace(0.0, 4e4, n - n // 3 - 101)]
     )
-    for problem in (Problem.neumann(), Problem.dirichlet(1)):
-        whole = assemble(charfn._solutions(delta_lasso, lam), problem.j)
+    fs = [fundamental_solutions(segs, lam) for segs in delta_lasso.segments]
+    for problem in (Problem.neumann(), Problem.dirichlet(1), Problem.dirichlet(2)):
+        whole = assemble(fs, problem.j)
         got = charfn_for(delta_lasso, problem, lam)
         assert got.tobytes() == whole.tobytes()
         square = charfn_for(delta_lasso, problem, lam[: 90 * 90].reshape(90, 90))

@@ -210,7 +210,8 @@ COMPILED_LAMBDAS = [-7.5, -SERIES_SWITCH / 40, 0.0, SERIES_SWITCH / 40, 42.0]
 
 @pytest.mark.parametrize("lam", COMPILED_LAMBDAS + [np.array(COMPILED_LAMBDAS)])
 def test_compiled_segments_match_step_product(lam):
-    # Segment lengths repeat within an edge (pi/4 on pendant 1) and across
+    # The whole propagator and each column alone equal the step product bit
+    # for bit. Segment lengths repeat within an edge (pi/4 on pendant 1) and across
     # edges (pi/2 on the cycle and on both pendants).
     graph = lasso_graph(
         1,
@@ -235,5 +236,11 @@ def test_compiled_segments_match_step_product(lam):
             want = step @ want
         for shared in (phis, None):
             got = fundamental_solutions(segs, lam, shared)
-            for x, y in ((got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d)):
+            c_col = fundamental_solutions(segs, lam, shared, "C")
+            s_col = fundamental_solutions(segs, lam, shared, "S")
+            assert c_col.S is c_col.S1 is s_col.C is s_col.C1 is None
+            for x, y in (
+                (got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d),
+                (c_col.C, want.a), (c_col.C1, want.c), (s_col.S, want.b), (s_col.S1, want.d),
+            ):
                 assert np.asarray(x).tobytes() == np.asarray(y).tobytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +18,7 @@ from lasso_spectra.reconstruct import (
     leading_constant,
     result_to_csv,
 )
-from lasso_spectra.spectrum import compute_catalog
+from lasso_spectra.spectrum import SpectrumCatalog, compute_catalog
 from lasso_spectra.trigpoly import AsymptoticFrame, TrigPoly, build_frame
 
 
@@ -116,6 +117,28 @@ def test_insufficient_catalog(pi_lasso):
     cat = compute_catalog(pi_lasso, Problem.neumann(), 6.0)
     with pytest.raises(InsufficientCatalog):
         hadamard_reconstruct(cat, np.array([1.0]), 50)
+
+
+@pytest.mark.parametrize("problem", [Problem.neumann(), Problem.dirichlet(1)])
+def test_covers_truncation_is_the_slot_set_inclusion(delta_lasso, problem):
+    # Whole catalogs, catalogs with one entry gone, with an entry repeated in
+    # its place, or with it moved to a family the frame does not have (as a
+    # hand-edited CSV may hold): the masks agree with the (k, n) sets.
+    cat = compute_catalog(delta_lasso, problem, 12.0)
+    frame = cat.frame
+    for i in range(0, len(cat.entries), 3):
+        rest = cat.entries[:i] + cat.entries[i + 1 :]
+        gone = cat.entries[i]
+        for entries in (cat.entries, rest, rest + (rest[0],), rest + (replace(gone, k=99),)):
+            edited = SpectrumCatalog(entries, frame, cat.rho_max)
+            have = {(e.k, e.n) for e in entries}
+            for n_max in range(8):
+                want = {
+                    (f.index, n)
+                    for f in frame.families
+                    for n in range(-n_max if f.first is None else f.first, n_max + 1)
+                }
+                assert edited.covers_truncation(n_max) == (want <= have)
 
 
 def test_compare_identical_is_zero(pi_lasso):

@@ -35,17 +35,20 @@ def test_refiners_match_scipy(amps, phases, w0, touch_at):
 
     with mock.patch.object(_rootscan, "_roots_in", wraps=_rootscan._roots_in) as roots:
         scan_roots(fn, 0.0, 20.0, 2000)
-    refined = [c for c in roots.call_args_list if c.args[1].size]
+    refined = [c.args for c in roots.call_args_list if c.args[1].size]
     if touch_at is None:
         assert refined  # sign-change brackets
     else:
-        assert any(len(c.args) == 4 for c in refined)  # the dips' args=(h, sgn) form
+        assert any(len(c) == 6 for c in refined)  # the dips' args=(h, sgn) form
 
-    for call in roots.call_args_list:
-        f, lo, hi, *rest = call.args
+    for f, lo, hi, f_lo, f_hi, *rest in refined:
         args = rest[0] if rest else ()
-        want = find_root(f, (lo, hi), args=args, tolerances={"xatol": XTOL}).x if lo.size else lo
-        np.testing.assert_array_equal(_rootscan._roots_in(f, lo, hi, args), want)
+        # The end values the scan hands over are fn's own, bit for bit, so
+        # the refinement is scipy's from the same brackets.
+        np.testing.assert_array_equal(f_lo, f(lo, *args))
+        np.testing.assert_array_equal(f_hi, f(hi, *args))
+        want = find_root(f, (lo, hi), args=args, tolerances={"xatol": XTOL}).x
+        np.testing.assert_array_equal(_rootscan._roots_in(f, lo, hi, f_lo, f_hi, args), want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,23 @@
+import functools
+import itertools
 import math
+from pathlib import Path
+from unittest import mock
 
+import catalog_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lasso_spectra import checks
+from lasso_spectra import checks, spectrum
 from lasso_spectra._rootscan import scan_roots
-from lasso_spectra.errors import AssignmentAmbiguity, ScanResolutionTooCoarse
-from lasso_spectra.graph import Problem, delta_potential, lasso_graph
+from lasso_spectra.errors import AssignmentAmbiguity, ScanResolutionTooCoarse, SpectraError
+from lasso_spectra.graph import Problem, delta_potential, graph_from_json, lasso_graph
 from lasso_spectra.oracle import richardson_eigs
 from lasso_spectra.propagate import fundamental_solutions
 from lasso_spectra.spectrum import (
+    SpectrumCatalog,
     catalog_spectrum,
     catalog_to_csv,
     compute_catalog,
@@ -200,3 +208,94 @@ def test_dirichlet_catalog_tail_behaves(delta_catalog_deep_pinned):
     # The lattice family holds the surviving cycle eigenvalues exactly.
     lattice = [e for e in cat.entries if e.k == 0 and e.n <= 5]
     assert all(e.rho == e.rho0 for e in lattice)
+
+
+# Graphs for the assignment's differential test: zero potential, a weak and
+# a strong delta (low_spectrum reaches past the first periods), unit lengths.
+_ASSIGN_GRAPHS = (
+    lasso_graph(1, [1, 1], length_unit="pi"),
+    lasso_graph(1, [1, 1], [None, delta_potential(1, "1/2", 0.5), None], length_unit="pi"),
+    lasso_graph(1, [1, 1, 1], [None] + [delta_potential(1, "1/2", -2.0)] * 3, length_unit="pi"),
+    lasso_graph("1/2", [1, "3/2"]),
+)
+
+
+@functools.cache
+def _assign_frame(gi, problem):
+    return build_frame(_ASSIGN_GRAPHS[gi], problem)
+
+
+@st.composite
+def _assignment_inputs(draw):
+    """Roots built around the grid: each rho0 group moved by a few window
+    fractions or by less than EPS_SNAP, as one multiple root or as separate
+    ones; the zero group as an even (or odd) rho-order and negative
+    eigenvalues, single or repeated; now and then one root dropped or one
+    root added."""
+    gi = draw(st.integers(0, len(_ASSIGN_GRAPHS) - 1))
+    problem = draw(st.sampled_from([Problem.neumann(), Problem.dirichlet(1)]))
+    frame = _assign_frame(gi, problem)
+    window = frame.window()
+    rho_max = draw(st.floats(0.0, 4.0 * frame.tau))
+    moves = st.sampled_from([0.0, 3e-10, -3e-10, 0.2, -0.2, 0.45, -0.45, 0.7, -0.7, 1.3, -1.3])
+
+    slots = frame.slots(rho_max + window)
+    sizes = [(rho0, len(list(g))) for rho0, g in itertools.groupby(slots, key=lambda s: s[2])]
+    below = draw(st.integers(0, min(3, len(slots))))  # the lowest slots taken by lambda < 0
+    negatives = draw(st.lists(st.sampled_from([-0.25, -1.5]), min_size=below, max_size=below))
+    eigs = []
+    for rho0, size in sizes:
+        taken = min(below, size)
+        below, size = below - taken, size - taken
+        if rho0 == 0.0:
+            order = 2 * size + draw(st.sampled_from([0, 0, 0, 1]))
+            if order:
+                eigs.append((0.0, order))
+        elif size and draw(st.booleans()):
+            eigs.append((rho0 + draw(moves) * window, size))
+        else:
+            eigs += [(rho0 + draw(moves) * window, 1) for _ in range(size)]
+    change = draw(st.sampled_from(["none"] * 6 + ["drop", "add"]))
+    if change == "drop" and eigs:
+        del eigs[draw(st.integers(0, len(eigs) - 1))]
+    elif change == "add":
+        eigs.append((draw(st.floats(0.01, rho_max + 0.01)), 1))
+    eigs.sort()
+    return _ASSIGN_GRAPHS[gi], eigs, frame, rho_max, negatives
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_assignment_inputs())
+def test_catalog_assignment_matches_the_per_entry_loop(inputs):
+    graph, eigs, frame, rho_max, negatives = inputs
+
+    def outcome(assign):
+        try:
+            return assign()
+        except SpectraError as exc:
+            return type(exc), str(exc)
+
+    want = outcome(
+        lambda: catalog_reference.catalog_entries(graph, eigs, frame, rho_max, negatives)
+    )
+    got = outcome(lambda: catalog_spectrum(graph, eigs, frame, rho_max, negatives))
+    if not isinstance(got, tuple):
+        # The columns handed over equal those a catalog derives from its entries.
+        derived = SpectrumCatalog(got.entries, frame, rho_max).columns
+        for handed, want_col in zip(got.columns, derived):
+            assert handed.dtype == want_col.dtype and handed.tobytes() == want_col.tobytes()
+        got = got.entries, got.window_violations
+    assert repr(got) == repr(want)  # floats compared by repr: -0.0 and 0.0 differ
+
+
+def test_scan_makes_a_fixed_number_of_vector_calls():
+    # The grid, the dips' difference quotients and their refinement, fn at
+    # the argmins, then one seeded pass over every crossing and split dip:
+    # 11 vector calls on this config. Refining crossings and pairs apart,
+    # each pass evaluating its bracket ends, takes 15.
+    path = Path(__file__).resolve().parents[1] / "configs" / "lasso_triple.json"
+    graph = graph_from_json(path)[0]
+    with mock.patch.object(spectrum, "charfn_for", wraps=spectrum.charfn_for) as calls:
+        roots = find_eigenvalues(graph, Problem.neumann(), 60.0)
+    assert len(roots) == 150
+    assert sum(np.ndim(c.args[2]) > 0 for c in calls.call_args_list) <= 11
