@@ -34,15 +34,31 @@ Each iteration starts at its bracket's midpoint, except the first bracket's:
 below mu_0, s is concave and decreasing, so Newton converges from the right
 of lambda_0 without bisecting, and it starts an eighth of the mean spacing
 of the mu below mu_0 (6-8 solves on the test fixtures, where the midpoint of
-the Gershgorin bracket took 17-25).
+the Gershgorin bracket took 17-25). A bracket whose root is its own end (a
+removable or nearly removable pole, b^T v ~ 0) sends Newton past that end
+every step; the first such step probes s once at 2 tol inside the end, and
+if the root lies between, the eigenvalue is that mu (2-3 solves on the
+bracket that ends at the double eigenvalue 4 of the zero-potential lasso,
+against 20-31 when it bisected down to tol).
 
 Eigenvalue error is O(h^2); richardson_eigs extrapolates over h and h/2 and
-continues the fine solve from the coarse one. The fine mu come from a stebz
-window that ends past the coarse top mu by four times its expected O(h^2)
-rise (the index search runs only if the window holds too few), and each fine
-bracket starts at its coarse eigenvalue, typically 2-3 solves per eigenvalue
-(about 8 cold). On the `oracle` benchmark cells of seed 7 a request takes 51
-solves in all, against 104 with every bracket started at its midpoint.
+continues the fine solve from the coarse one. Only the coarse mu come from
+stebz, which also names each one's chain (its block), hence its index k
+there. Each fine mu is continued on its own chain from the coarse mu of the
+same chain and index, by Newton on the last pivot 1 / x_last of T_c - sigma:
+one chain-sized solve x = (T_c - sigma)^(-1) e_last per step, then
+sigma += x_last / |x|^2, until the step is below 4 eps ||T_c||, the level
+where bisection to full precision also stops. A Sturm count of T_c (closed
+form per run of equal entries, see _Chain) certifies the result as the k-th
+eigenvalue of its chain; a failed certificate bisects on the count and runs
+Newton again, and a chain with more eigenvalues below the top of the list
+than it holds adds its next. Byte-identical chains (equal pendants) are
+solved once, so they give bit-equal mu. The fine mu agree with stebz at
+full precision within ~5e-11 relative. Each fine bracket starts at its
+coarse eigenvalue; one that falls outside its bracket probes the nearer end
+first. On the `oracle` benchmark cells of seed 7 a request takes one stebz
+call, 36 solves of the whole operator and 14 chain-sized ones; the fine mu
+take 0.7-0.9 ms, where a fine stebz sweep took 2.9 ms (2-core machine).
 
 scipy is imported on first use, so importing this module loads numpy only.
 """
@@ -58,6 +74,8 @@ from .errors import GridTooCoarse
 from .graph import Problem, validate
 
 MIN_POINTS_PER_UNIT = 50
+# Newton steps per start on one chain; quadratic convergence needs 2-4.
+MAX_CHAIN_STEPS = 30
 
 
 def _nodes_for_edge(edge, unit: float, points_per_unit: float) -> int:
@@ -133,15 +151,188 @@ def discretize(graph, problem: Problem, points_per_unit: float) -> DiscreteOpera
     return DiscreteOperator(diag, off, b, a * w_a * w_a, tuple(spacings), problem, points_per_unit)
 
 
-def _solve(op: DiscreteOperator, count: int, coarse=None) -> tuple[np.ndarray, np.ndarray]:
-    """The count smallest eigenvalues, ascending, and the chain eigenvalues mu.
+class _Chain:
+    """One chain T_c of T: Sturm counts and Newton steps on that chain alone.
 
-    coarse is that pair for the same problem on a coarser grid: its top mu
-    bounds the window searched for this grid's mu, and each bracket's
-    iteration starts at its coarse eigenvalue.
+    The count below sigma is the number of negative pivots
+    r_i = (d_i - sigma) - off_(i-1)^2 / r_(i-1) of T_c - sigma. The rows fall
+    into runs of equal (d_i, |off_(i-1)|) = (c, e). Inside a run the pivots
+    are e q_j / q_(j-1) for q_j = 2 x q_(j-1) - q_(j-2), x = (c - sigma) / 2e,
+    started from the entering pivot r as q_(-1) = e / r, q_0 = 1. In the band,
+    |x| < 1, q_j ~ sin(j theta + phi) with cos theta = x, so m rows add
+    floor((m theta + phi) / pi) negative pivots; below it, q_j = a exp(j theta)
+    + (1 - a) exp(-j theta) changes sign at most once, and above it (-1)^j q_j
+    does. A run costs O(1) and a count O(runs). Row 0 enters with an infinite
+    pivot (q_(-1) = 0), so it joins the run of row 1 when their entries match.
     """
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dgtsv
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag, self.off, self.size = diag, off if len(off) else np.zeros(1), len(diag)
+        # Row i couples back by |off_(i-1)|; row 0 by |off_0|, which its
+        # infinite entering pivot ignores.
+        couple = np.abs(np.concatenate((off[:1], off))) if len(off) else np.ones(1)
+        radius = couple.copy()
+        radius[0] = 0.0
+        radius[:-1] += couple[1:]
+        self.lower, self.upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+        # The rounding level of a pivot, and LAPACK's guard against a zero pivot.
+        self.tol = 4.0 * np.finfo(float).eps * max(abs(self.lower), abs(self.upper))
+        self.pivmin = np.finfo(float).tiny * max(1.0, float(np.max(couple)) ** 2)
+        cuts = np.flatnonzero((diag[1:] != diag[:-1]) | (couple[1:] != couple[:-1])) + 1
+        bounds = [0, *cuts.tolist(), self.size]
+        self.runs = [
+            (float(diag[i]), float(couple[i]), j - i) for i, j in zip(bounds[:-1], bounds[1:])
+        ]
+        self.rhs = np.zeros(self.size)
+        self.rhs[-1] = 1.0
+
+    def count(self, sigma: float) -> int:
+        """The number of eigenvalues below sigma: the negative pivots of T_c - sigma."""
+        negative, r = 0, math.inf
+        for c, e, m in self.runs:
+            # sigma lies in the band [c - 2e, c + 2e] where u and v = 1 - u are
+            # positive; each is measured from its own band edge.
+            u, v = (sigma - (c - 2.0 * e)) / (4.0 * e), ((c + 2.0 * e) - sigma) / (4.0 * e)
+            inv = e / r  # q_(-1)
+            if u > 0.0 and v > 0.0:
+                # q_j ~ sin(j theta + phi), phi in [0, pi): a pivot is negative
+                # where the phase passes a multiple of pi.
+                theta = math.atan2(2.0 * math.sqrt(u * v), v - u)
+                before = (m - 1) * theta + math.atan2(math.sin(theta), math.cos(theta) - inv)
+                changes = math.floor((before + theta) / math.pi)
+                last = changes > math.floor(before / math.pi)
+                den = math.sin(before)
+                rho = math.sin(before + theta) / den if den else math.inf
+            else:
+                # Below the band; above it, (-1)^j q_j is below the mirrored one.
+                flip = v <= 0.0
+                if flip:
+                    u, v, inv = v, u, -inv
+                changes, last, rho = self._hyperbolic(2.0 * math.sqrt(-u * v), inv, m)
+                if flip:
+                    changes, last = m - changes, not last
+            # The sign of the last pivot is the count's, so both agree near a zero pivot.
+            negative += changes
+            r = max(abs(e * rho), self.pivmin) * (-1.0 if last else 1.0)
+        return negative
+
+    @staticmethod
+    def _hyperbolic(sinh: float, inv: float, m: int) -> tuple[int, bool, float]:
+        """For q_(-1) = inv, q_0 = 1 and cosh theta >= 1: the sign changes in q_0..q_m,
+        whether the last is at q_m, and q_m / q_(m-1)."""
+        if sinh == 0.0:  # q_j = 1 + b j
+            b = 1.0 - inv
+            end, before = 1.0 + b * m, 1.0 + b * (m - 1)
+            return int(end < 0.0), end < 0.0 <= before, end / before if before else math.inf
+        theta = math.asinh(sinh)
+        grow = math.exp(theta)
+        a = (grow - inv) / (2.0 * sinh)  # q_j = a exp(j theta) + (1 - a) exp(-j theta)
+        if a == 0.0:
+            return 0, False, 1.0 / grow
+        # With a < 0, q_j decreases from 1 and changes sign where 2 j theta passes crossing.
+        crossing = math.log((a - 1.0) / a) if a < 0.0 else math.inf
+        before = a + (1.0 - a) * math.exp(-2.0 * (m - 1) * theta)
+        rho = grow * (a + (1.0 - a) * math.exp(-2.0 * m * theta)) / before if before else math.inf
+        turns = 2.0 * m * theta
+        return int(turns > crossing), turns - 2.0 * theta <= crossing < turns, rho
+
+    def newton(self, sigma: float, lo: float, hi: float) -> float | None:
+        """Newton on the last pivot 1 / x_last, x = (T_c - sigma)^(-1) e_last, inside (lo, hi)."""
+        from scipy.linalg.lapack import dgtsv
+
+        for _ in range(MAX_CHAIN_STEPS):
+            _, _, _, x, info = dgtsv(self.off, self.diag - sigma, self.off, self.rhs)
+            if info:  # T_c - sigma is singular: sigma is an eigenvalue
+                return sigma
+            step = x[-1] / (x @ x)
+            sigma += step
+            if not lo < sigma < hi:
+                return None
+            if abs(step) <= self.tol:
+                break
+        return sigma
+
+    def eig(self, k: int, start: float | None) -> float:
+        """The k-th eigenvalue (from 0), by Newton from start, certified by the count."""
+        margin = self.tol
+        # Invariant: count(lo) <= k < count(hi), so the eigenvalue is in [lo, hi).
+        lo, n_lo, hi, n_hi = self.lower, 0, self.upper, self.size
+        sigma = start if start is not None and lo < start < hi else None
+        while hi - lo > 2.0 * margin:
+            if sigma is not None:
+                mu = self.newton(sigma, lo, hi)
+                if mu is not None:
+                    below, above = self.count(mu - margin), self.count(mu + margin)
+                    if below <= k < above:
+                        return mu
+                    if above <= k:
+                        lo, n_lo = mu + margin, above
+                    else:
+                        hi, n_hi = mu - margin, below
+            # Halve until k is the only eigenvalue left in the bracket, and
+            # once more after every failed Newton start from its midpoint.
+            while True:
+                mid = 0.5 * (lo + hi)
+                n_mid = self.count(mid)
+                if n_mid <= k:
+                    lo, n_lo = mid, n_mid
+                else:
+                    hi, n_hi = mid, n_mid
+                if (n_lo == k and n_hi == k + 1) or hi - lo <= 2.0 * margin:
+                    break
+            sigma = 0.5 * (lo + hi)
+        return 0.5 * (lo + hi)
+
+
+def _chain_bounds(op: DiscreteOperator) -> np.ndarray:
+    """Chain c of T is rows bounds[c] to bounds[c + 1]: T splits where off = 0."""
+    return np.r_[0, np.flatnonzero(op.off == 0.0) + 1, len(op.diag)]
+
+
+def _continue_mu(op: DiscreteOperator, last: int, coarse_mu: np.ndarray, coarse_chain: np.ndarray):
+    """The lowest last + 1 eigenvalues of T and their chains, from a coarse grid's.
+
+    Each is continued on its own chain from the coarse mu with the same chain
+    and index; byte-identical chains are solved once. Then every chain whose
+    count below the top of that list exceeds what it holds adds its next
+    eigenvalue, until none does. The coarse chains only supply the starts:
+    every mu is certified on its own chain, whatever its start.
+    """
+    bounds = _chain_bounds(op)
+    solved, chains = {}, []
+    for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        key = (op.diag[a:b].tobytes(), op.off[a : b - 1].tobytes())
+        if key not in solved:
+            solved[key] = (_Chain(op.diag[a:b], op.off[a : b - 1]), [])
+        chain, mu = solved[key]
+        starts = coarse_mu[coarse_chain == c].tolist()
+        for k in range(len(mu), min(len(starts), chain.size)):
+            mu.append(chain.eig(k, starts[k]))
+        chains.append((c, chain, mu))
+    while True:
+        pool = sorted((x, c) for c, _, mu in chains for x in mu)
+        top = pool[last][0] if len(pool) > last else math.inf
+        short = {
+            id(mu): (chain, mu)
+            for _, chain, mu in chains
+            if len(mu) < chain.size and (top == math.inf or chain.count(top) > len(mu))
+        }
+        if not short:
+            break
+        for chain, mu in short.values():
+            mu.append(chain.eig(len(mu), None))
+    pool = pool[: last + 1]
+    return np.array([x for x, _ in pool]), np.array([c for _, c in pool], dtype=int)
+
+
+def _solve(op: DiscreteOperator, count: int, coarse=None):
+    """The count smallest eigenvalues, ascending, the chain eigenvalues mu, and each mu's chain.
+
+    coarse is that triple for the same problem on a coarser grid: each mu is
+    continued from the coarse mu of its chain (see _continue_mu), and each
+    bracket's iteration starts at its coarse eigenvalue.
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz
 
     count = min(count, len(op.diag) + 1)
     last = min(count, len(op.diag)) - 1
@@ -150,46 +341,71 @@ def _solve(op: DiscreteOperator, count: int, coarse=None) -> tuple[np.ndarray, n
     bound = np.sum(np.abs(op.b))
     lower = min(op.a - bound, np.min(op.diag - radius))
     upper = max(op.a + bound, np.max(op.diag + radius))
-    # Bisection to full precision (tol), so that equal chains give equal mu.
-    tiny = np.finfo(float).tiny
-    mu = np.empty(0)
-    starts = np.full(count, np.nan)  # nan: start at the bracket's midpoint
-    if coarse is not None:
-        starts, coarse_mu = coarse
-        # From the coarse grid the mu rise by about (mu h)^2 / 4, h this grid's
-        # spacing (lumped P1 elements); the window allows four times that.
-        top = coarse_mu[-1] + (max(op.h) * max(1.0, abs(coarse_mu[-1]))) ** 2
-        mu = eigh_tridiagonal(op.diag, op.off, True, "v", (lower, top), tol=tiny)[: last + 1]
-    if len(mu) <= last:
-        mu = eigh_tridiagonal(op.diag, op.off, True, "i", (0, last), tol=tiny)
-    if coarse is None and last > 0:
-        # Below mu_0, s is concave and decreasing, so Newton converges from the
-        # right of lambda_0 without bisecting. An eighth of the mean spacing of
-        # the mu below mu_0 is right of lambda_0 or close to it on the test
-        # fixtures (with one mu, or all equal, the midpoint as elsewhere).
-        starts[0] = mu[0] - (mu[-1] - mu[0]) / (8.0 * last)
+    off = op.off if len(op.off) else np.zeros(1)  # the LAPACK wrappers want one entry at dim 1
+    if coarse is None:
+        # Bisection to full precision (tol), so that equal chains give equal mu.
+        tiny = np.finfo(float).tiny
+        m, mu, block, split, info = dstebz(op.diag, off, 2, 0.0, 0.0, 1, last + 1, tiny, "E")
+        if info:
+            raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
+        mu = mu[:m]
+        # The chain of each mu: the one holding the last row of its stebz block.
+        chain = np.searchsorted(_chain_bounds(op), split[block[:m] - 1] - 1, side="right") - 1
+        starts = np.full(count, np.nan)  # nan: start at the bracket's midpoint
+        if last > 0:
+            # Below mu_0, s is concave and decreasing, so Newton converges from the
+            # right of lambda_0 without bisecting. An eighth of the mean spacing of
+            # the mu below mu_0 is right of lambda_0 or close to it on the test
+            # fixtures (with one mu, or all equal, the midpoint as elsewhere).
+            starts[0] = mu[0] - (mu[-1] - mu[0]) / (8.0 * last)
+    else:
+        starts, coarse_mu, coarse_chain = coarse
+        mu, chain = _continue_mu(op, last, coarse_mu, coarse_chain)
     ends = np.r_[lower, mu, upper]
     tol = 4.0 * np.finfo(float).eps * np.max(np.abs(ends))  # the rounding level of s / s'
     rhs = op.b[:, None]
-    off = op.off if len(op.off) else np.zeros(1)  # gtsv's wrapper wants one entry at dim 1
 
     def root(lo, hi, start):
         # Inside (lo, hi), lambda < sigma iff s(sigma) < 0; s' = -1 - |x|^2.
+        # A start outside the bracket, or the first Newton step that leaves
+        # past one of its ends, probes once at 2 tol inside that end: if the
+        # root lies between, it is the end (a removable pole, b^T v ~ 0, where
+        # Newton from inside overshoots every step); if not, the iteration
+        # goes on from the midpoint of what is left.
+        ends, probe, probed = (lo, hi), None, False
         sigma = start if lo < start < hi else 0.5 * (lo + hi)
+        if start <= lo or start >= hi:
+            probe = lo if start <= lo else hi
         while hi - lo > tol:
+            if probe is not None:
+                if probed or hi - lo <= 4.0 * tol:
+                    probe = None
+                else:
+                    probed, sigma = True, probe + (2.0 * tol if probe == lo else -2.0 * tol)
             x = dgtsv(off, op.diag - sigma, off, rhs)[3][:, 0]
             s = op.a - sigma - op.b @ x
             lo, hi = (lo, sigma) if s < 0.0 else (sigma, hi)
+            if probe is not None:
+                if probe in (lo, hi):
+                    return probe
+                probe, sigma = None, 0.5 * (lo + hi)
+                continue
             newton = sigma + s / (1.0 + x @ x)
             if abs(newton - sigma) <= tol:
                 return newton
-            sigma = newton if lo < newton < hi else 0.5 * (lo + hi)
+            if lo < newton < hi:
+                sigma = newton
+            else:
+                sigma = 0.5 * (lo + hi)
+                if newton >= hi == ends[1] or newton <= lo == ends[0]:
+                    probe = hi if newton >= hi else lo
         return sigma
 
     lam = np.array([root(ends[k], ends[k + 1], starts[k]) for k in range(count)])
     # A root within tol of its bracket's end is that mu (a removable pole, b^T v = 0).
     low, high = ends[:count], ends[1 : count + 1]
-    return np.where(lam - low <= tol, low, np.where(high - lam <= tol, high, lam)), mu
+    lam = np.where(lam - low <= tol, low, np.where(high - lam <= tol, high, lam))
+    return lam, mu, chain
 
 
 def oracle_eigs(op: DiscreteOperator, count: int) -> np.ndarray:
@@ -203,5 +419,5 @@ def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float)
     The fine solve continues from the coarse one (see _solve).
     """
     coarse = _solve(discretize(graph, problem, points_per_unit), count)
-    fine, _ = _solve(discretize(graph, problem, 2 * points_per_unit), count, coarse)
+    fine = _solve(discretize(graph, problem, 2 * points_per_unit), count, coarse)[0]
     return (4.0 * fine - coarse[0]) / 3.0

@@ -124,7 +124,7 @@ def negative_eigenvalues(
     return sorted(lams)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CatalogEntry:
     n: int
     k: int
@@ -133,6 +133,22 @@ class CatalogEntry:
     rho0: float
     eps: float
     multiplicity: int
+
+    def __init__(self, n, k, lam, rho, rho0, eps, multiplicity):
+        # The generated frozen __init__ looks object.__setattr__ up again for
+        # every field; a catalog builds hundreds of entries at once. Slots,
+        # not an instance dict: a dict written directly would be faster still,
+        # but would cost every entry a materialized dict.
+        _setattr(self, "n", n)
+        _setattr(self, "k", k)
+        _setattr(self, "lam", lam)
+        _setattr(self, "rho", rho)
+        _setattr(self, "rho0", rho0)
+        _setattr(self, "eps", eps)
+        _setattr(self, "multiplicity", multiplicity)
+
+
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,19 @@ from lasso_spectra.graph import Problem, delta_potential, lasso_graph
 from lasso_spectra.spectrum import compute_catalog
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "sweep: the random-lasso sweep, opt-in with -m sweep")
+
+
+def pytest_collection_modifyitems(config, items):
+    if "sweep" in config.getoption("markexpr"):
+        return
+    skip = pytest.mark.skip(reason="opt-in: run with -m sweep")
+    for item in items:
+        if "sweep" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def pi_lasso():
     """p = 2 lasso, all lengths pi, zero potential."""

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from lasso_spectra import checks
+from lasso_spectra import checks, oracle
 from lasso_spectra.errors import GridTooCoarse
 from lasso_spectra.graph import Problem, delta_potential, lasso_graph
 from lasso_spectra.oracle import (
@@ -220,8 +221,10 @@ def _record_solves(monkeypatch) -> list:
 
 
 def test_solve_counts(monkeypatch, request):
+    # Full-operator solves (the vertex Schur complement) and chain-sized ones
+    # (the fine grid's chain eigenvalues) are counted apart.
     solves = _record_solves(monkeypatch)
-    warm, eigenvalues = 0, 0
+    warm, chain, eigenvalues = 0, 0, 0
     for name in FIXTURES:
         graph = request.getfixturevalue(name)
         for problem in _problems(graph):
@@ -229,15 +232,120 @@ def test_solve_counts(monkeypatch, request):
             mu0 = eigh_tridiagonal(op.diag, op.off, True, "i", (0, 0))[0]
             solves.clear()
             oracle_eigs(op, 6)
-            cold = len(solves)
+            assert all(len(d) == len(op.diag) for d in solves)
             # Only the first bracket's shifts sigma lie below mu_0.
             first = sum(1 for d in solves if op.diag[0] - d[0] < mu0)
             assert first <= 8, (name, problem.label(), first)
             solves.clear()
             richardson_eigs(graph, problem, 6, 60)
-            warm += len(solves) - cold  # the coarse solve in it is oracle_eigs(op, 6)
+            dim = len(discretize(graph, problem, 120).diag)
+            warm += sum(1 for d in solves if len(d) == dim)
+            chain += sum(1 for d in solves if len(d) < len(op.diag))
             eigenvalues += 6
     assert warm <= 3 * eigenvalues, warm / eigenvalues
+    assert chain <= 3 * eigenvalues, chain / eigenvalues
+
+
+def _bracket_solves(solves, op, lo, hi) -> int:
+    """Full-operator solves whose shift lies in (lo, hi]."""
+    shifts = [op.diag[0] - d[0] for d in solves if len(d) == len(op.diag)]
+    return sum(1 for sigma in shifts if lo < sigma <= hi)
+
+
+@pytest.mark.parametrize("name", ["pi_lasso", "delta_lasso"])
+def test_bracket_ending_at_a_removable_pole(name, request, monkeypatch):
+    # lambda_5 = mu_5 near 4: the cycle's antisymmetric mode vanishes at the
+    # vertex. Newton from inside overshoots past mu_5 every step; one probe
+    # just inside it settles the bracket, cold and continued.
+    graph = request.getfixturevalue(name)
+    coarse = oracle._solve(discretize(graph, Problem.neumann(), 60), 7)
+    solves = _record_solves(monkeypatch)
+    for ppu, start in ((60, None), (120, coarse)):
+        op = discretize(graph, Problem.neumann(), ppu)
+        solves.clear()
+        lam, mu, _ = oracle._solve(op, 7, start)
+        assert abs(mu[5] - 4.0) < 1e-3 and mu[4] < 3.0
+        assert lam[5] == mu[5]
+        assert _bracket_solves(solves, op, mu[4], mu[5]) <= 6, ppu
+
+
+def _count_stebz(monkeypatch) -> list:
+    """Count LAPACK stebz calls; eigh_tridiagonal must not run at all."""
+    calls, dstebz = [], scipy.linalg.lapack.dstebz
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return dstebz(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    return calls
+
+
+def _fine_mu_match_stebz(graph, problem, count, ppu):
+    """The fine solve's mu against stebz at full precision, and bit-equal on identical chains."""
+    coarse_op, op = discretize(graph, problem, ppu), discretize(graph, problem, 2 * ppu)
+    _, mu, chain = oracle._solve(op, count, oracle._solve(coarse_op, count))
+    want = eigh_tridiagonal(op.diag, op.off, True, "i", (0, len(mu) - 1), tol=np.finfo(float).tiny)
+    assert np.max(np.abs(mu - want) / np.maximum(1.0, np.abs(want))) <= 1e-10, problem.label()
+    bounds = np.r_[0, np.flatnonzero(op.off == 0.0) + 1, len(op.diag)]
+    rows = [(op.diag[a:b].tobytes(), op.off[a : b - 1].tobytes()) for a, b in zip(bounds[:-1], bounds[1:])]
+    for c, d in itertools.combinations(range(len(rows)), 2):
+        if rows[c] == rows[d]:
+            n = min(np.count_nonzero(chain == c), np.count_nonzero(chain == d))
+            assert np.array_equal(mu[chain == c][:n], mu[chain == d][:n]), problem.label()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_wrong_newton_starts_are_certified(name, request):
+    # Coarse mu moved into the next eigenvalue's basin of their chain, all
+    # credited to the first chain, or none at all: the count rejects the wrong
+    # roots and bisects, and adds what a chain holds below the top.
+    graph = request.getfixturevalue(name)
+    for problem in _problems(graph):
+        op = discretize(graph, problem, 120)
+        _, coarse_mu, coarse_chain = oracle._solve(discretize(graph, problem, 60), 7)
+        want = eigh_tridiagonal(op.diag, op.off, True, "i", (0, 6), tol=np.finfo(float).tiny)
+        shifted = coarse_mu.copy()
+        for c in set(coarse_chain.tolist()):
+            own = np.flatnonzero(coarse_chain == c)
+            shifted[own[:-1]] = coarse_mu[own[1:]]  # each start at its successor
+            shifted[own[-1]] = 2.0 * coarse_mu[own[-1]] + 1.0
+        cases = [(shifted, coarse_chain), (coarse_mu, 0 * coarse_chain), (np.empty(0), np.empty(0, dtype=int))]
+        for starts, chains in cases:
+            mu, _ = oracle._continue_mu(op, 6, starts, chains)
+            assert np.max(np.abs(mu - want) / np.maximum(1.0, np.abs(want))) <= 1e-10, problem.label()
+
+
+# Runs of equal (diag, off) of a chain, off < 0 as in the FE matrix, with
+# diagonals near 2|off| (the FE interior) or anywhere.
+RUNS = st.lists(
+    st.tuples(st.integers(1, 300), st.floats(0.5, 20.0), st.floats(-60.0, 60.0) | st.just(2.0)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=RUNS, scale=st.sampled_from([1.0, 1e3, 1e5]))
+def test_chain_count_matches_eigenvalues(runs, scale):
+    runs = [(m, scale * e, scale * e * c if c == 2.0 else scale * c) for m, e, c in runs]
+    diag = np.concatenate([np.full(m, c) for m, _, c in runs])
+    off = -np.concatenate([np.full(m, e) for m, e, _ in runs])[1:]
+    chain = oracle._Chain(diag, off)
+    want = eigh_tridiagonal(diag, off, True) if len(diag) > 1 else diag
+    # Between eigenvalues, at the band edges c +- 2|e| of every run and at 0
+    # (the hyperbolic, the parabolic and the mirrored regimes), and beyond
+    # the Gershgorin bounds.
+    shifts = [0.5 * (want[:-1] + want[1:]), [chain.lower - 1.0, chain.upper + 1.0, 0.0]]
+    shifts += [[c - 2.0 * e, c + 2.0 * e] for _, e, c in runs]
+    gap = 1e-9 * max(1.0, np.max(np.abs(want)))
+    for sigma in np.concatenate(shifts):
+        if np.min(np.abs(want - sigma)) > gap:
+            assert chain.count(float(sigma)) == np.count_nonzero(want < sigma), sigma
 
 
 def _cold_richardson(graph, problem, count, ppu):
@@ -247,9 +355,14 @@ def _cold_richardson(graph, problem, count, ppu):
 
 
 def _assert_continuation_matches_cold(graph, problem, count, ppu):
-    got = richardson_eigs(graph, problem, count, ppu)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_stebz(monkeypatch)
+        got = richardson_eigs(graph, problem, count, ppu)
+    # One stebz call, on the coarse grid: the fine mu are continued per chain.
+    assert calls == [len(discretize(graph, problem, ppu).diag)], problem.label()
     want = _cold_richardson(graph, problem, count, ppu)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10, problem.label()
+    _fine_mu_match_stebz(graph, problem, count, ppu)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -299,3 +300,49 @@ def test_scan_makes_a_fixed_number_of_vector_calls():
         roots = find_eigenvalues(graph, Problem.neumann(), 60.0)
     assert len(roots) == 150
     assert sum(np.ndim(c.args[2]) > 0 for c in calls.call_args_list) <= 11
+
+
+
+def test_catalog_entry_keeps_frozen_dataclass_semantics():
+    # CatalogEntry fills its slots itself: repr, ==, hash, replace and
+    # immutability stay those of the plain frozen dataclass.
+    @dataclasses.dataclass(frozen=True)
+    class CatalogEntry:
+        n: int
+        k: int
+        lam: float
+        rho: float
+        rho0: float
+        eps: float
+        multiplicity: int
+
+    def fields(x):
+        return repr(x).partition("(")[2]  # the repr past the class name
+
+    values = (-3, 1, 9.000000000000002, 3.0, 3.0, -0.0, 2)
+    entry, plain = spectrum.CatalogEntry(*values), CatalogEntry(*values)
+    assert repr(entry).startswith("CatalogEntry(") and fields(entry) == fields(plain)
+    assert hash(entry) == hash(plain)
+    assert entry == spectrum.CatalogEntry(*values) and entry != dataclasses.replace(entry, eps=0.5)
+    assert fields(dataclasses.replace(entry, k=2)) == fields(dataclasses.replace(plain, k=2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.k = 2
+
+# Two scan defects that the sweep reproduces (ROADMAP, count-driven root
+# isolation). They stay out of configs/, where CI's eigs step would fail on
+# them, until the scan resolves them.
+@pytest.mark.xfail(strict=True, raises=ScanResolutionTooCoarse)
+def test_touch_on_a_scan_grid_point():
+    # A double root exactly at rho = 14 (and 26, 28) where d evaluates to
+    # rounding noise of the wrong sign: two crossings that merge into one
+    # simple root, 148 roots for 151 grid points.
+    potentials = [None, delta_potential(1, "1/2", -0.5655594332844359), delta_potential(1, "1/2", 0.35911730227271754)]
+    graph = lasso_graph(3, [1, 1], potentials=potentials, length_unit="pi")
+    compute_catalog(graph, Problem.neumann(), 30.0)
+
+
+@pytest.mark.xfail(strict=True, raises=ScanResolutionTooCoarse)
+def test_zero_potential_triple_base_zero():
+    # L2 has triple zeros of d that the scan lists as simple: 120 roots for 180 grid points.
+    graph = lasso_graph(1, [1, 2, 1, 1], length_unit="pi")
+    compute_catalog(graph, Problem.dirichlet(2), 30.0)
