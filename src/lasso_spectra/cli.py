@@ -60,6 +60,23 @@ def parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+def _checked(convert, ok, wanted: str):
+    """An argparse type: convert, then refuse what fails ok, naming the flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+COUNT = _checked(int, lambda n: n >= 0, "0 or more")
+FINITE = _checked(float, math.isfinite, "finite")
+
+
 def _problem_from_args(args, graph) -> Problem:
     if args.problem == "L":
         return Problem.neumann()
@@ -162,7 +179,7 @@ def cmd_verify(args) -> int:
     graph, potentials_known = graph_from_json(args.config)
     validate(graph)
     tau = build_frame(graph, Problem.neumann()).tau
-    if args.n_max:
+    if args.n_max is not None:
         n_max = args.n_max
     elif args.rho_max:
         n_max = max(1, int(args.rho_max / tau) - 1)
@@ -207,20 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eigs = sub.add_parser("eigs", help="catalog eigenvalues against the unperturbed grid")
     common(p_eigs)
-    p_eigs.add_argument("--rho-max", type=float, required=True)
+    p_eigs.add_argument("--rho-max", type=FINITE, required=True)
     p_eigs.set_defaults(func=cmd_eigs)
 
     p_rec = sub.add_parser("reconstruct", help="recover the characteristic function from spectra")
     common(p_rec)
     p_rec.add_argument("--spectra", required=True, help="catalog CSV path")
-    p_rec.add_argument("--n-max", type=int, default=100)
+    p_rec.add_argument("--n-max", type=COUNT, default=100)
     p_rec.add_argument("--lambda", dest="lam", default=None, help="lambda grid start:stop:step")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite on a config (problem L)")
     common(p_ver, problems=("L",))
-    p_ver.add_argument("--rho-max", type=float, default=None)
-    p_ver.add_argument("--n-max", type=int, default=None)
+    p_ver.add_argument("--rho-max", type=FINITE, default=None)
+    p_ver.add_argument("--n-max", type=COUNT, default=None)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -71,18 +71,6 @@ class PotentialSpec:
         if any(not math.isfinite(v) for v in self.values):
             raise BadBreakpoints(f"non-finite sigma values: {self.values}")
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
-
-    def jumps(self) -> list[tuple[Fraction, float]]:
-        """Interior (position, jump height) pairs: the delta components of sigma'."""
-        out = []
-        for x, lo, hi in zip(self.breakpoints[1:-1], self.values, self.values[1:]):
-            if hi != lo:
-                out.append((x, hi - lo))
-        return out
-
 
 def zero_potential(length) -> PotentialSpec:
     return PotentialSpec((Fraction(0), parse_rational(length)), (0.0,))
@@ -145,14 +133,6 @@ class ValidatedGraph:
     def segments(self) -> tuple[tuple[tuple[float, float], ...], ...]:
         """Every edge's (sigma, h) segments, compiled once per graph."""
         return tuple(e.segments(self.unit_value) for e in self.edges)
-
-    @property
-    def cycle(self) -> EdgeSpec:
-        return self.edges[0]
-
-    @property
-    def pendants(self) -> tuple[EdgeSpec, ...]:
-        return self.edges[1:]
 
     def edge_length(self, j: int) -> float:
         """Physical length of edge j as a float."""

@@ -18,8 +18,8 @@ interior and each pendant (without its pinned end for Lj). The operator is
 A = [[a, b^T], [b, T]]: T is tridiagonal with a zero coupling between chains,
 and b is nonzero only at the p + 2 chain ends next to the vertex; no
 dim x dim matrix is built. By Cauchy interlacing, lambda_k lies in
-[mu_(k-1), mu_k], the eigenvalues of T from LAPACK stebz (below mu_0 and
-above the top mu, Gershgorin bounds close the bracket). Inside it, Haynsworth's
+[mu_(k-1), mu_k], the eigenvalues of T (below mu_0 and above the top mu,
+Gershgorin bounds close the bracket). Inside it, Haynsworth's
 inertia formula counts N(sigma) = #{mu < sigma} + [s(sigma) < 0] with the
 vertex Schur complement s(sigma) = a - sigma - b^T (T - sigma)^(-1) b
 (Golub, SIAM Rev. 1973). So lambda_k is where s changes sign, found by
@@ -32,33 +32,28 @@ relative at 50-160 points per unit, the rounding level 4 eps ||A||.
 
 Each iteration starts at its bracket's midpoint, except the first bracket's:
 below mu_0, s is concave and decreasing, so Newton converges from the right
-of lambda_0 without bisecting, and it starts an eighth of the mean spacing
-of the mu below mu_0 (6-8 solves on the test fixtures, where the midpoint of
-the Gershgorin bracket took 17-25). A bracket whose root is its own end (a
-removable or nearly removable pole, b^T v ~ 0) sends Newton past that end
-every step; the first such step probes s once at 2 tol inside the end, and
-if the root lies between, the eigenvalue is that mu (2-3 solves on the
-bracket that ends at the double eigenvalue 4 of the zero-potential lasso,
-against 20-31 when it bisected down to tol).
+of lambda_0 without bisecting; it starts an eighth of the mean spacing of
+the mu below mu_0. A bracket whose root is its own end (a removable or
+nearly removable pole, b^T v ~ 0) sends Newton past that end every step;
+the first such step probes s once at 2 tol inside the end, and if the root
+lies between, the eigenvalue is that mu.
 
-Eigenvalue error is O(h^2); richardson_eigs extrapolates over h and h/2 and
-continues the fine solve from the coarse one. Only the coarse mu come from
-stebz, which also names each one's chain (its block), hence its index k
-there. Each fine mu is continued on its own chain from the coarse mu of the
-same chain and index, by Newton on the last pivot 1 / x_last of T_c - sigma:
-one chain-sized solve x = (T_c - sigma)^(-1) e_last per step, then
-sigma += x_last / |x|^2, until the step is below 4 eps ||T_c||, the level
-where bisection to full precision also stops. A Sturm count of T_c (closed
-form per run of equal entries, see _Chain) certifies the result as the k-th
-eigenvalue of its chain; a failed certificate bisects on the count and runs
-Newton again, and a chain with more eigenvalues below the top of the list
-than it holds adds its next. Byte-identical chains (equal pendants) are
-solved once, so they give bit-equal mu. The fine mu agree with stebz at
-full precision within ~5e-11 relative. Each fine bracket starts at its
-coarse eigenvalue; one that falls outside its bracket probes the nearer end
-first. On the `oracle` benchmark cells of seed 7 a request takes one stebz
-call, 36 solves of the whole operator and 14 chain-sized ones; the fine mu
-take 0.7-0.9 ms, where a fine stebz sweep took 2.9 ms (2-core machine).
+The mu come from one solver per chain T_c (_Chain), on both grids: Newton
+on the last pivot 1 / x_last of T_c - sigma (one chain-sized solve
+x = (T_c - sigma)^(-1) e_last per step, sigma += x_last / |x|^2), certified
+as the k-th eigenvalue of the chain by a Sturm count in closed form per run
+of equal entries. The count also isolates the start of a cold mu, and
+bisects where a certificate fails. Byte-identical chains (equal pendants)
+are solved once, so they give bit-equal mu. The mu agree with LAPACK stebz
+at full precision within ~2e-11 relative.
+
+Eigenvalue error is O(h^2); richardson_eigs extrapolates over h and h/2.
+The fine solve starts each mu at the coarse mu of the same chain and index,
+and each bracket at its coarse eigenvalue (one outside its bracket probes
+the nearer end first). On the `oracle` benchmark cells of seed 7 a request
+takes 36 solves of the whole operator, 48 chain-sized ones and 73 counts;
+the coarse mu take 1.0-1.6 ms, where a coarse stebz call took 1.6-1.7 ms
+(2-core machine).
 
 scipy is imported on first use, so importing this module loads numpy only.
 """
@@ -103,8 +98,6 @@ class DiscreteOperator:
     b: np.ndarray
     a: float
     h: tuple[float, ...]  # grid spacing per edge
-    problem: Problem
-    points_per_unit: float
 
 
 def discretize(graph, problem: Problem, points_per_unit: float) -> DiscreteOperator:
@@ -148,7 +141,7 @@ def discretize(graph, problem: Problem, points_per_unit: float) -> DiscreteOpera
     w, w_a = 1.0 / np.sqrt(np.concatenate(mass)), 1.0 / math.sqrt(vertex_mass)
     diag, off = np.concatenate(diag) * w * w, np.concatenate(off)[:-1] * w[:-1] * w[1:]
     b = np.concatenate(couple) * w * w_a
-    return DiscreteOperator(diag, off, b, a * w_a * w_a, tuple(spacings), problem, points_per_unit)
+    return DiscreteOperator(diag, off, b, a * w_a * w_a, tuple(spacings))
 
 
 class _Chain:
@@ -185,9 +178,16 @@ class _Chain:
         ]
         self.rhs = np.zeros(self.size)
         self.rhs[-1] = 1.0
+        self.seen: dict[float, int] = {}  # count(sigma) by sigma
+        # The Rayleigh quotient of the all-ones vector bounds mu_0 above.
+        self.first = min(self.upper, float(np.sum(diag) + 2.0 * np.sum(off)) / self.size + self.tol)
 
     def count(self, sigma: float) -> int:
         """The number of eigenvalues below sigma: the negative pivots of T_c - sigma."""
+        return self.pivots(sigma)[0]
+
+    def pivots(self, sigma: float) -> tuple[int, float]:
+        """count(sigma) and the last pivot; every count is kept to bracket later eigenvalues."""
         negative, r = 0, math.inf
         for c, e, m in self.runs:
             # sigma lies in the band [c - 2e, c + 2e] where u and v = 1 - u are
@@ -214,7 +214,8 @@ class _Chain:
             # The sign of the last pivot is the count's, so both agree near a zero pivot.
             negative += changes
             r = max(abs(e * rho), self.pivmin) * (-1.0 if last else 1.0)
-        return negative
+        self.seen[sigma] = negative
+        return negative, r
 
     @staticmethod
     def _hyperbolic(sinh: float, inv: float, m: int) -> tuple[int, bool, float]:
@@ -236,6 +237,9 @@ class _Chain:
         turns = 2.0 * m * theta
         return int(turns > crossing), turns - 2.0 * theta <= crossing < turns, rho
 
+    # Next to an eigenvalue whose vector nearly vanishes at the last row, x can
+    # overflow; the step is then 0 or nan, and the count certifies or rejects.
+    @np.errstate(over="ignore", invalid="ignore")
     def newton(self, sigma: float, lo: float, hi: float) -> float | None:
         """Newton on the last pivot 1 / x_last, x = (T_c - sigma)^(-1) e_last, inside (lo, hi)."""
         from scipy.linalg.lapack import dgtsv
@@ -253,40 +257,40 @@ class _Chain:
         return sigma
 
     def eig(self, k: int, start: float | None) -> float:
-        """The k-th eigenvalue (from 0), by Newton from start, certified by the count."""
+        """The k-th eigenvalue (from 0), by Newton from start, certified by the count.
+
+        Without a start, or after a failed one, it halves the bracket on the
+        count until a shift lies in (mu_k, nu_k), nu_k the k-th eigenvalue of
+        T_c without its last row: there the count is k + 1 and the last pivot
+        is negative. Newton from there moves left and converges without
+        leaving, where from a shift outside it overshoots.
+        """
         margin = self.tol
-        # Invariant: count(lo) <= k < count(hi), so the eigenvalue is in [lo, hi).
-        lo, n_lo, hi, n_hi = self.lower, 0, self.upper, self.size
+        # Invariant: count(lo) <= k < count(hi), so the eigenvalue is in [lo, hi),
+        # from the narrowest bracket that the counts made so far on this chain give.
+        lo = max((x for x, n in self.seen.items() if n <= k), default=self.lower)
+        hi = min([x for x, n in self.seen.items() if n > k] + [self.first if k == 0 else self.upper])
         sigma = start if start is not None and lo < start < hi else None
         while hi - lo > 2.0 * margin:
-            if sigma is not None:
-                mu = self.newton(sigma, lo, hi)
-                if mu is not None:
-                    below, above = self.count(mu - margin), self.count(mu + margin)
-                    if below <= k < above:
-                        return mu
-                    if above <= k:
-                        lo, n_lo = mu + margin, above
-                    else:
-                        hi, n_hi = mu - margin, below
-            # Halve until k is the only eigenvalue left in the bracket, and
-            # once more after every failed Newton start from its midpoint.
-            while True:
+            if sigma is None:
                 mid = 0.5 * (lo + hi)
-                n_mid = self.count(mid)
-                if n_mid <= k:
-                    lo, n_lo = mid, n_mid
+                n, last = self.pivots(mid)
+                if n <= k:
+                    lo = mid
                 else:
-                    hi, n_hi = mid, n_mid
-                if (n_lo == k and n_hi == k + 1) or hi - lo <= 2.0 * margin:
-                    break
-            sigma = 0.5 * (lo + hi)
+                    hi = mid
+                    sigma = mid if n == k + 1 and last < 0.0 else None
+                continue
+            mu, sigma = self.newton(sigma, lo, hi), None
+            if mu is not None:
+                below, above = self.count(mu - margin), self.count(mu + margin)
+                if below <= k < above:
+                    return mu
+                if above <= k:
+                    lo = mu + margin
+                else:
+                    hi = mu - margin
         return 0.5 * (lo + hi)
-
-
-def _chain_bounds(op: DiscreteOperator) -> np.ndarray:
-    """Chain c of T is rows bounds[c] to bounds[c + 1]: T splits where off = 0."""
-    return np.r_[0, np.flatnonzero(op.off == 0.0) + 1, len(op.diag)]
 
 
 def _continue_mu(op: DiscreteOperator, last: int, coarse_mu: np.ndarray, coarse_chain: np.ndarray):
@@ -296,14 +300,18 @@ def _continue_mu(op: DiscreteOperator, last: int, coarse_mu: np.ndarray, coarse_
     and index; byte-identical chains are solved once. Then every chain whose
     count below the top of that list exceeds what it holds adds its next
     eigenvalue, until none does. The coarse chains only supply the starts:
-    every mu is certified on its own chain, whatever its start.
+    every mu is certified on its own chain, whatever its start, and with no
+    coarse mu at all every one is found by the count alone.
     """
-    bounds = _chain_bounds(op)
+    # T splits into chains where off = 0.
+    bounds = np.r_[0, np.flatnonzero(op.off == 0.0) + 1, len(op.diag)]
     solved, chains = {}, []
     for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         key = (op.diag[a:b].tobytes(), op.off[a : b - 1].tobytes())
         if key not in solved:
-            solved[key] = (_Chain(op.diag[a:b], op.off[a : b - 1]), [])
+            # Reversed, a pendant's chain ends at its free end, where no eigenvector
+            # vanishes, so Newton on the last pivot converges from most of a bracket.
+            solved[key] = (_Chain(op.diag[a:b][::-1], op.off[a : b - 1][::-1]), [])
         chain, mu = solved[key]
         starts = coarse_mu[coarse_chain == c].tolist()
         for k in range(len(mu), min(len(starts), chain.size)):
@@ -332,7 +340,7 @@ def _solve(op: DiscreteOperator, count: int, coarse=None):
     continued from the coarse mu of its chain (see _continue_mu), and each
     bracket's iteration starts at its coarse eigenvalue.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    from scipy.linalg.lapack import dgtsv
 
     count = min(count, len(op.diag) + 1)
     last = min(count, len(op.diag)) - 1
@@ -341,41 +349,34 @@ def _solve(op: DiscreteOperator, count: int, coarse=None):
     bound = np.sum(np.abs(op.b))
     lower = min(op.a - bound, np.min(op.diag - radius))
     upper = max(op.a + bound, np.max(op.diag + radius))
-    off = op.off if len(op.off) else np.zeros(1)  # the LAPACK wrappers want one entry at dim 1
+    off = op.off if len(op.off) else np.zeros(1)  # the LAPACK wrapper wants one entry at dim 1
+    # Without a coarse grid every mu is found cold, by the count alone.
+    starts, coarse_mu, coarse_chain = coarse or (None, np.empty(0), np.empty(0, dtype=int))
+    mu, chain = _continue_mu(op, last, coarse_mu, coarse_chain)
     if coarse is None:
-        # Bisection to full precision (tol), so that equal chains give equal mu.
-        tiny = np.finfo(float).tiny
-        m, mu, block, split, info = dstebz(op.diag, off, 2, 0.0, 0.0, 1, last + 1, tiny, "E")
-        if info:
-            raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
-        mu = mu[:m]
-        # The chain of each mu: the one holding the last row of its stebz block.
-        chain = np.searchsorted(_chain_bounds(op), split[block[:m] - 1] - 1, side="right") - 1
         starts = np.full(count, np.nan)  # nan: start at the bracket's midpoint
         if last > 0:
             # Below mu_0, s is concave and decreasing, so Newton converges from the
             # right of lambda_0 without bisecting. An eighth of the mean spacing of
             # the mu below mu_0 is right of lambda_0 or close to it on the test
-            # fixtures (with one mu, or all equal, the midpoint as elsewhere).
+            # fixtures (with one mu, or all within 2 tol, the midpoint as elsewhere).
             starts[0] = mu[0] - (mu[-1] - mu[0]) / (8.0 * last)
-    else:
-        starts, coarse_mu, coarse_chain = coarse
-        mu, chain = _continue_mu(op, last, coarse_mu, coarse_chain)
     ends = np.r_[lower, mu, upper]
     tol = 4.0 * np.finfo(float).eps * np.max(np.abs(ends))  # the rounding level of s / s'
     rhs = op.b[:, None]
 
     def root(lo, hi, start):
         # Inside (lo, hi), lambda < sigma iff s(sigma) < 0; s' = -1 - |x|^2.
-        # A start outside the bracket, or the first Newton step that leaves
-        # past one of its ends, probes once at 2 tol inside that end: if the
-        # root lies between, it is the end (a removable pole, b^T v ~ 0, where
-        # Newton from inside overshoots every step); if not, the iteration
-        # goes on from the midpoint of what is left.
+        # A start outside the bracket or within 2 tol of an end (where Newton
+        # steps shrink with the distance to the pole and would stop there), or
+        # the first Newton step that leaves past one of its ends, probes once
+        # at 2 tol inside that end: if the root lies between, it is the end (a
+        # removable pole, b^T v ~ 0, where Newton from inside overshoots every
+        # step); if not, the iteration goes on from the midpoint of what is left.
         ends, probe, probed = (lo, hi), None, False
-        sigma = start if lo < start < hi else 0.5 * (lo + hi)
-        if start <= lo or start >= hi:
-            probe = lo if start <= lo else hi
+        sigma = start if lo + 2.0 * tol < start < hi - 2.0 * tol else 0.5 * (lo + hi)
+        if start <= lo + 2.0 * tol or start >= hi - 2.0 * tol:
+            probe = lo if start <= lo + 2.0 * tol else hi
         while hi - lo > tol:
             if probe is not None:
                 if probed or hi - lo <= 4.0 * tol:

@@ -87,6 +87,34 @@ def test_bad_pendant_index_exits_2(capsys):
     assert "pendant index" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--n-max", "-3"), "--n-max"),
+        (("reconstruct", "--spectra", "catalog.csv", "--n-max", "-2"), "--n-max"),
+        (("eigs", "--rho-max", "inf"), "--rho-max"),
+        (("eigs", "--rho-max", "nan"), "--rho-max"),
+        (("verify", "--rho-max", "inf"), "--rho-max"),
+    ],
+    ids=["verify-negative-n-max", "reconstruct-negative-n-max", "eigs-inf", "eigs-nan", "verify-inf"],
+)
+def test_bad_numeric_flag_exits_2(capsys, argv, flag):
+    # Refused while parsing, with the flag named, before any config is read.
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", FREE, *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"argument {flag}" in out.err
+
+
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_verify_honours_n_max(capsys, monkeypatch, n_max):
+    calls = []
+    monkeypatch.setattr(checks, "verify", lambda graph, rho_max, n: calls.append((rho_max, n)) or [])
+    code, _, _ = run(capsys, "verify", "--config", FREE, "--rho-max", "20", "--n-max", str(n_max))
+    assert code == 0 and calls == [(20.0, n_max)]
+
+
 def test_eigs_outputs(capsys, tmp_path):
     base = str(tmp_path / "eigs")
     code, out, _ = run(capsys, "eigs", "--config", FREE, "--rho-max", "6", "--out", base)

@@ -24,7 +24,7 @@ from lasso_spectra.trigpoly import TrigPoly
 def test_minimal_lasso_validates():
     g = lasso_graph(1, [1, 1])
     assert g.p == 2
-    assert g.cycle.role == "cycle"
+    assert g.edges[0].role == "cycle"
     assert g.edge_length(1) == 1.0
 
 
@@ -88,7 +88,7 @@ def test_common_measure_divides_every_length(nums, dens):
 
 def test_delta_potential_encoding():
     pot = delta_potential(1, "1/2", 0.7)
-    assert pot.jumps() == [(Fraction(1, 2), 0.7)]
+    assert pot.breakpoints == (0, Fraction(1, 2), 1) and pot.values == (0.0, 0.7)
     with pytest.raises(BadBreakpoints):
         delta_potential(1, "3/2", 1.0)
 
@@ -127,7 +127,7 @@ def test_json_without_sigma_marks_unknown_potential():
     }
     g, known = graph_from_json(blob)
     assert not known
-    assert g.edges[1].potential.is_zero
+    assert g.edges[1].potential.values == (0.0,)
 
 
 def test_json_float_length_rejected():
