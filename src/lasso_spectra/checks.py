@@ -2,7 +2,8 @@
 
 Each check returns a Check: the measured value, the bound it is held to, a
 report detail ({"error": ...} when the check cannot run) and its wall time.
-Every bound is defined here, once. scipy is imported on first use.
+Every bound is defined here, once. Like the rest of the library, the checks
+need numpy alone.
 """
 
 from __future__ import annotations

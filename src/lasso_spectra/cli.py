@@ -159,7 +159,7 @@ def cmd_reconstruct(args) -> int:
     rho_max = max((e.rho0 for e in entries), default=0.0)
     catalog = SpectrumCatalog(entries, frame, rho_max, problem.label())
     grid = parse_grid(args.lam) if args.lam else np.linspace(-5.0, 9.0, 200)
-    result = hadamard_reconstruct(catalog, grid, args.n_max, frame)
+    result = hadamard_reconstruct(catalog, grid, args.n_max)
 
     if potentials_known:
         report = compare(result, lambda lam: charfn_for(graph, problem, lam))

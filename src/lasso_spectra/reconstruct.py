@@ -105,7 +105,9 @@ def _tail_integral(u0: float, lam):
 def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
     """Estimated log of the factors beyond |n| = n_max, sum_k c_k S_k(lam)
     (see the module docstring). Each side of a two-sided family has its own
-    tail, which starts midway between its last kept and first dropped rho0."""
+    tail, which starts midway between its last kept and first dropped rho0.
+    A family whose mean shift is 0 has a tail factor of exactly 1: its tail
+    integral is infinite at lambda = u0^2."""
     k, n, lam_e, lam0 = entries
     upper = 2 * np.abs(n) > n_max
     shift = lam_e - lam0
@@ -115,6 +117,8 @@ def _log_tail(entries, frame: AsymptoticFrame, n_max: int, lam):
         if not shifts.size:
             continue
         c = float(np.mean(shifts)) / frame.tau  # per unit of rho0 along the family
+        if c == 0.0:
+            continue
         sides = (1, -1) if fam.first is None else (1,)
         for side in sides:
             u0 = 0.5 * (fam.rho0(side * n_max, frame.tau) + fam.rho0(side * (n_max + 1), frame.tau))
@@ -149,14 +153,9 @@ def _flagged(entries, grid):
         return near_left | (np.abs(grid - lam0[right]) < GRID_EIG_TOL)
 
 
-def hadamard_reconstruct(
-    catalog: SpectrumCatalog,
-    grid,
-    n_max: int,
-    frame: AsymptoticFrame | None = None,
-) -> ReconstructionResult:
+def hadamard_reconstruct(catalog: SpectrumCatalog, grid, n_max: int) -> ReconstructionResult:
     """Evaluate the ratio-form product over all catalog entries with |n| <= n_max."""
-    frame = frame or catalog.frame
+    frame = catalog.frame
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     entries = _truncation_entries(catalog, frame, n_max)
 

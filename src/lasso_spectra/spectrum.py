@@ -90,11 +90,9 @@ def find_eigenvalues(graph, problem: Problem, rho_max: float, frame: AsymptoticF
     return out
 
 
-def negative_eigenvalues(
-    graph, problem: Problem, lam_floor: float | None = None, frame: AsymptoticFrame | None = None
-):
+def negative_eigenvalues(graph, problem: Problem, frame: AsymptoticFrame | None = None):
     """Zeros of the characteristic function on [lam_floor, 0), ascending and
-    repeated by multiplicity.
+    repeated by multiplicity, with lam_floor = -4 (1 + 2 max|sigma|)^2.
 
     The sweep runs the same scan as find_eigenvalues, in kappa = sqrt(-lambda)
     with the same step, so a tangential (double) negative eigenvalue is found
@@ -104,9 +102,7 @@ def negative_eigenvalues(
     """
     graph = validate(graph)
     problem.check(graph)
-    if lam_floor is None:
-        s = graph.max_abs_sigma
-        lam_floor = -4.0 * (1.0 + 2.0 * s) ** 2
+    lam_floor = -4.0 * (1.0 + 2.0 * graph.max_abs_sigma) ** 2
     if frame is None:
         frame = build_frame(graph, problem)
     total_length = sum(graph.edge_length(j) for j in range(graph.p + 1))

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FREE = str(ROOT / "configs" / "lasso_free.json")
 DELTA = str(ROOT / "configs" / "lasso_delta.json")
 REPEATED = str(ROOT / "configs" / "lasso_repeated.json")
+TRIPLE = str(ROOT / "configs" / "lasso_triple.json")
 
 
 def run(capsys, *argv):
@@ -249,6 +250,19 @@ def test_verify_passes_on_free_fixture(capsys):
     assert bijection["detail"] == {"entries": n, "grid_points": n, "windows_ok": True}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config", [FREE, DELTA, TRIPLE], ids=["free", "delta", "triple"])
+def test_verify_at_n_max_1_has_no_invalid_value(capsys, config):
+    # At n_max 1 the round-trip grid [-5, 9] holds lambda = 9 = u0^2 (u0 = 3),
+    # where the tail integral is infinite: a family with a zero mean shift
+    # multiplied it by 0. Its tail factor is exactly 1.
+    code, out, _ = run(capsys, "verify", "--config", config, "--n-max", "1")
+    values = [c["value"] for c in json.loads(out)["checks"] if c["value"] is not None]
+    assert np.all(np.isfinite(values))
+    # |n| <= 1 is too short a truncation for lasso_delta's round trip (0.043 against 1e-3).
+    assert code == (1 if config == DELTA else 0)
+
+
 @pytest.mark.parametrize(
     "extra",
     [("--problem", "Lj"), ("--j", "1"), ("--problem", "Lj", "--j", "1")],
@@ -339,7 +353,7 @@ def _cli_in_fresh_process(tmp_path, *argv):
 
 
 def test_charfn_loads_no_scipy(tmp_path):
-    # Only verify loads scipy, for the finite-element oracle.
+    # No command loads scipy (for verify, see test_oracle_and_verify_run_on_numpy_alone).
     out = str(tmp_path / "charfn.csv")
     code, loaded = _cli_in_fresh_process(
         tmp_path, "charfn", "--config", DELTA, "--rho=0:5:0.01", "--out", out
@@ -384,3 +398,21 @@ def test_eigs_on_repeated_lengths_exits_0(capsys):
     assert code == 0
     doubles = [a["alpha"] for a in json.loads(err)["alphas"] if a["mu"] == 2]
     assert np.allclose(doubles, [np.pi / 2, 3 * np.pi / 2], rtol=0.0, atol=1e-12)
+
+
+def test_oracle_and_verify_run_on_numpy_alone(tmp_path):
+    # scipy is a test dependency only: with it unimportable, the FE oracle
+    # and `verify` run and pass.
+    report = tmp_path / "verify.json"
+    proc = _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lasso_spectra.cli import main\n"
+        "from lasso_spectra.graph import Problem, graph_from_json\n"
+        "from lasso_spectra.oracle import richardson_eigs\n"
+        f"graph = graph_from_json({DELTA!r})[0]\n"
+        "assert len(richardson_eigs(graph, Problem.neumann(), 6, 60)) == 6\n"
+        f"sys.exit(main(['verify', '--config', {DELTA!r}, '--out', {str(report)!r}]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["all_passed"]

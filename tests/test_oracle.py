@@ -1,16 +1,18 @@
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from lasso_spectra import checks, oracle
 from lasso_spectra.errors import GridTooCoarse
-from lasso_spectra.graph import Problem, delta_potential, lasso_graph
+from lasso_spectra.graph import Problem, delta_potential, graph_from_json, lasso_graph
 from lasso_spectra.oracle import (
     DiscreteOperator,
     discretize,
@@ -19,6 +21,8 @@ from lasso_spectra.oracle import (
 )
 from lasso_spectra.spectrum import compute_catalog
 
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 FREE_LOW_SPECTRUM = [0.0, 0.25, 4.0 / 9.0, 16.0 / 9.0, 2.25, 4.0, 4.0]
 
 
@@ -217,49 +221,62 @@ def test_first_start_next_to_a_near_double_mu():
 FIXTURES = ["pi_lasso", "delta_lasso", "attractive_p3"]
 
 
-def _record_solves(monkeypatch) -> list:
-    """Record the diagonal, diag - sigma, of every dgtsv solve."""
-    solves, dgtsv = [], scipy.linalg.lapack.dgtsv
+def _record_passes(monkeypatch) -> tuple[list, list]:
+    """Record the shift of every vertex Schur complement evaluation (one pass
+    per coupled chain end) and of every chain pass outside one (a Newton step
+    on a chain eigenvalue mu)."""
+    schur_shifts, chain_shifts, inside = [], [], [False]
+    make, run = oracle._schur, oracle._pass
 
-    def recording(dl, d, du, b, *args, **kwargs):
-        solves.append(d)
-        return dgtsv(dl, d, du, b, *args, **kwargs)
+    def recording_schur(op):
+        schur = make(op)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", recording)
-    return solves
+        def evaluate(sigma):
+            schur_shifts.append(sigma)
+            inside[0] = True
+            try:
+                return schur(sigma)
+            finally:
+                inside[0] = False
+
+        return evaluate
+
+    def recording_pass(runs, sigma):
+        if not inside[0]:
+            chain_shifts.append(sigma)
+        return run(runs, sigma)
+
+    monkeypatch.setattr(oracle, "_schur", recording_schur)
+    monkeypatch.setattr(oracle, "_pass", recording_pass)
+    return schur_shifts, chain_shifts
 
 
 def test_solve_counts(monkeypatch, request):
-    # Full-operator solves (the vertex Schur complement) and chain-sized ones
-    # (the chain eigenvalues mu) are counted apart, on each grid.
-    solves = _record_solves(monkeypatch)
-    warm, cold_chain, chain, eigenvalues = 0, 0, 0, 0
+    # Schur complement evaluations and chain Newton steps are counted apart, on each grid.
+    schur, chain = _record_passes(monkeypatch)
+    warm, cold_chain, fine_chain, eigenvalues = 0, 0, 0, 0
     for name in FIXTURES:
         graph = request.getfixturevalue(name)
         for problem in _problems(graph):
             op = discretize(graph, problem, 60)
             mu0 = eigh_tridiagonal(op.diag, op.off, True, "i", (0, 0))[0]
-            solves.clear()
+            schur.clear()
+            chain.clear()
             coarse = oracle._solve(op, 6)
             # Only the first bracket's shifts sigma lie below mu_0.
-            first = sum(1 for d in solves if len(d) == len(op.diag) and op.diag[0] - d[0] < mu0)
+            first = sum(1 for sigma in schur if sigma < mu0)
             assert first <= 8, (name, problem.label(), first)
-            cold_chain += sum(1 for d in solves if len(d) < len(op.diag))
-            fine = discretize(graph, problem, 120)
-            solves.clear()
+            cold_chain += len(chain)
+            fine = discretize(graph, problem, 60, refine=2)
+            schur.clear()
+            chain.clear()
             oracle._solve(fine, 6, coarse)
-            warm += sum(1 for d in solves if len(d) == len(fine.diag))
-            chain += sum(1 for d in solves if len(d) < len(fine.diag))
+            warm += len(schur)
+            fine_chain += len(chain)
             eigenvalues += 6
     assert warm <= 3 * eigenvalues, warm / eigenvalues
-    assert chain <= 3 * eigenvalues, chain / eigenvalues
+    assert fine_chain <= 3 * eigenvalues, fine_chain / eigenvalues
     assert cold_chain <= 6.5 * eigenvalues, cold_chain / eigenvalues
-
-
-def _bracket_solves(solves, op, lo, hi) -> int:
-    """Full-operator solves whose shift lies in (lo, hi]."""
-    shifts = [op.diag[0] - d[0] for d in solves if len(d) == len(op.diag)]
-    return sum(1 for sigma in shifts if lo < sigma <= hi)
 
 
 @pytest.mark.parametrize("name", ["pi_lasso", "delta_lasso"])
@@ -269,29 +286,19 @@ def test_bracket_ending_at_a_removable_pole(name, request, monkeypatch):
     # just inside it settles the bracket, cold and continued.
     graph = request.getfixturevalue(name)
     coarse = oracle._solve(discretize(graph, Problem.neumann(), 60), 7)
-    solves = _record_solves(monkeypatch)
-    for ppu, start in ((60, None), (120, coarse)):
-        op = discretize(graph, Problem.neumann(), ppu)
-        solves.clear()
+    schur, _ = _record_passes(monkeypatch)
+    for refine, start in ((1, None), (2, coarse)):
+        op = discretize(graph, Problem.neumann(), 60, refine)
+        schur.clear()
         lam, mu, _ = oracle._solve(op, 7, start)
         assert abs(mu[5] - 4.0) < 1e-3 and mu[4] < 3.0
         assert lam[5] == mu[5]
-        assert _bracket_solves(solves, op, mu[4], mu[5]) <= 6, ppu
-
-
-def _refuse_stebz(monkeypatch) -> None:
-    """Make LAPACK stebz and eigh_tridiagonal raise: the oracle must not call them."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("stebz called")
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", refuse)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        assert sum(1 for sigma in schur if mu[4] < sigma <= mu[5]) <= 6, refine
 
 
 def _mu_match_stebz(graph, problem, count, ppu):
     """Both grids' mu against stebz at full precision, and bit-equal on identical chains."""
-    coarse_op, fine_op = discretize(graph, problem, ppu), discretize(graph, problem, 2 * ppu)
+    coarse_op, fine_op = discretize(graph, problem, ppu), discretize(graph, problem, ppu, refine=2)
     coarse = oracle._solve(coarse_op, count)
     for op, (_, mu, chain) in ((coarse_op, coarse), (fine_op, oracle._solve(fine_op, count, coarse))):
         want = eigh_tridiagonal(op.diag, op.off, True, "i", (0, len(mu) - 1), tol=np.finfo(float).tiny)
@@ -375,16 +382,13 @@ def test_cold_chain_eigenvalues_match_stebz(runs, scale):
 
 def _cold_richardson(graph, problem, count, ppu):
     coarse = oracle_eigs(discretize(graph, problem, ppu), count)
-    fine = oracle_eigs(discretize(graph, problem, 2 * ppu), count)
+    fine = oracle_eigs(discretize(graph, problem, ppu, refine=2), count)
     return (4.0 * fine - coarse) / 3.0
 
 
 def _assert_continuation_matches_cold(graph, problem, count, ppu):
-    # No stebz call, cold or continued: every mu comes from the per-chain solver.
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _refuse_stebz(monkeypatch)
-        got = richardson_eigs(graph, problem, count, ppu)
-        want = _cold_richardson(graph, problem, count, ppu)
+    got = richardson_eigs(graph, problem, count, ppu)
+    want = _cold_richardson(graph, problem, count, ppu)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10, problem.label()
     _mu_match_stebz(graph, problem, count, ppu)
 
@@ -409,3 +413,69 @@ def test_richardson_continuation_matches_cold_solves_random(cycle, pool, picks, 
     graph = _lasso([cycle] + [pool[i % len(pool)] for i in picks])
     problem = data.draw(st.sampled_from(_problems(graph)))
     _assert_continuation_matches_cold(graph, problem, count, 50)
+
+
+def _lapack_reference(op, count):
+    """The count smallest eigenvalues and the chain eigenvalues mu, by LAPACK:
+    mu from eigh_tridiagonal, and each eigenvalue by bisection on the sign of
+    s(sigma) = a - sigma - b^T (T - sigma)^(-1) b, one gtsv solve per shift,
+    inside its interlacing bracket (Gershgorin bounds at the ends)."""
+    tiny = np.finfo(float).tiny
+    mu = eigh_tridiagonal(op.diag, op.off, True, "i", (0, min(count, len(op.diag)) - 1), tol=tiny)
+    radius = np.abs(op.b) + np.abs(np.r_[op.off, 0.0]) + np.abs(np.r_[0.0, op.off])
+    bound = np.sum(np.abs(op.b))
+    lower = min(op.a - bound, np.min(op.diag - radius))
+    upper = max(op.a + bound, np.max(op.diag + radius))
+    ends, lam = np.r_[lower, mu, upper], []
+    for lo, hi in zip(ends[:count], ends[1 : count + 1]):
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            x = dgtsv(op.off, op.diag - mid, op.off, op.b)[3]
+            lo, hi = (lo, mid) if op.a - mid - op.b @ x < 0.0 else (mid, hi)
+            mid = 0.5 * (lo + hi)
+        lam.append(mid)
+    return np.array(lam), mu
+
+
+def _assert_matches_lapack(graph, problem, ppu):
+    coarse_op, fine_op = discretize(graph, problem, ppu), discretize(graph, problem, ppu, refine=2)
+    coarse = oracle._solve(coarse_op, 6)
+    for op, (lam, mu, _) in ((coarse_op, coarse), (fine_op, oracle._solve(fine_op, 6, coarse))):
+        want_lam, want_mu = _lapack_reference(op, 6)
+        for got, want in ((lam, want_lam), (mu, want_mu)):
+            rel = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+            assert rel <= 1e-10, (problem.label(), len(op.diag), rel)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_closed_form_passes_match_lapack(config):
+    # Both grids of richardson_eigs, L and every Lj: the eigenvalues and mu
+    # from the closed-form passes against gtsv and stebz on the same operator.
+    graph = graph_from_json(config)[0]
+    for problem in _problems(graph):
+        _assert_matches_lapack(graph, problem, 60)
+
+
+@pytest.mark.sweep
+def test_closed_form_passes_match_lapack_on_benchmark_cells():
+    # The `oracle` benchmark cells of seeds 1, 7 and 77 at its 160 points per unit.
+    sys.path.insert(0, str(ROOT))
+    from perfbench import gen
+
+    for seed in (1, 7, 77):
+        for case in gen.make_cases("oracle", seed):
+            graph = graph_from_json(case.config)[0]
+            for problem in _problems(graph):
+                _assert_matches_lapack(graph, problem, 160)
+
+
+def test_fine_grid_doubles_every_edge():
+    # Each level used to round its node counts up on its own: lasso_delta got
+    # 189/190/189 nodes at 60 points per unit and 377/378/377 at 120, so h/2
+    # held on no edge, and its lowest 6 (L) were 1.6e-7 relative off the catalog.
+    graph = graph_from_json(ROOT / "configs" / "lasso_delta.json")[0]
+    coarse, fine = discretize(graph, Problem.neumann(), 60), discretize(graph, Problem.neumann(), 60, refine=2)
+    assert np.allclose(np.array(fine.h), 0.5 * np.array(coarse.h), rtol=1e-15, atol=0.0)
+    want = np.array(compute_catalog(graph, Problem.neumann(), 4.0).lambdas()[:6])
+    got = richardson_eigs(graph, Problem.neumann(), 6, 60)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-8

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lasso_spectra import checks, spectrum
 from lasso_spectra._rootscan import scan_roots
+from lasso_spectra.charfn import charfn_for
 from lasso_spectra.errors import AssignmentAmbiguity, ScanResolutionTooCoarse, SpectraError
 from lasso_spectra.graph import Problem, delta_potential, graph_from_json, lasso_graph
 from lasso_spectra.oracle import richardson_eigs
@@ -346,3 +347,18 @@ def test_zero_potential_triple_base_zero():
     # L2 has triple zeros of d that the scan lists as simple: 120 roots for 180 grid points.
     graph = lasso_graph(1, [1, 2, 1, 1], length_unit="pi")
     compute_catalog(graph, Problem.dirichlet(2), 30.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_split_pair_is_not_listed_as_a_double():
+    # Sweep problem #259, L: d reads +4.7e-7, -5.3e-8 and +9.2e-8 at 21.7770,
+    # 21.77759 and 21.7779, so two simple eigenvalues lie between. The dip is
+    # shallower than TOUCH_FACTOR times the scan's global scale, and the scan
+    # lists one double root, 21.77758981948499, in their place.
+    pendants, strengths = [2, 1, 3], [0.5118900822511944, 0.411713565472002, 0.4661815793518326]
+    potentials = [None] + [delta_potential(n, f"{n}/2", s) for n, s in zip(pendants, strengths)]
+    graph = lasso_graph(3, pendants, potentials=potentials, length_unit="pi")
+    d = [float(charfn_for(graph, Problem.neumann(), lam)) for lam in (21.7770, 21.77759, 21.7779)]
+    assert d[0] > 0.0 > d[1] and d[2] > 0.0
+    lams = [lam for lam in compute_catalog(graph, Problem.neumann(), 30.0).lambdas() if 21.7770 < lam < 21.7779]
+    assert len(lams) == 2 and lams[0] != lams[1], lams
