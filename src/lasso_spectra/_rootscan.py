@@ -48,51 +48,63 @@ def _roots_in(fn, lo, hi, f_lo, f_hi, args=()):
     # scipy's frtol = 0 times the smaller end value: nan at an infinite end,
     # which keeps that bracket off the function-value test.
     fatol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    s1 = np.sign(f1)  # carried along with its end
+    # A bracket whose ends agree in sign or one of which is infinite fails
+    # here. The ends of a bracket still in progress then differ in sign after
+    # every step, and only the new iterate can be non-finite.
+    bad = (s1 == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
     out = np.empty_like(x1)
     active = np.arange(x1.size)
     t = 0.5
     for nit in range(_ROOT_MAXITER + 1):
         if nit:
-            x = x1 + t * (x2 - x1)
+            x = x1 + t * d21
             f = np.asarray(fn(x, *args), dtype=float)
-            same = np.sign(f) == np.sign(f1)
+            sf = np.sign(f)
+            same = sf == s1
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = x, f
-        lower = np.abs(f1) < np.abs(f2)
+            x1, f1, s1 = x, f, sf
+            bad = ~np.isfinite(x1)
+        a1, a2 = np.abs(f1), np.abs(f2)
+        lower = a1 < a2
         xmin = np.where(lower, x1, x2)
-        stop = np.abs(np.where(lower, f1, f2)) <= fatol
-        fail = (np.sign(f1) == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
-        fail = (fail | (np.isnan(f1) & np.isnan(f2))) & ~stop
+        stop = np.where(lower, a1, a2) <= fatol
+        # fmin is nan only where both ends are.
+        fail = (bad | np.isnan(np.fmin(f1, f2))) & ~stop
         xmin = np.where(fail, np.nan, xmin)
-        dx = np.abs(x2 - x1)
+        d21 = x2 - x1
+        dx = np.abs(d21)
         tol = np.abs(xmin) * _ROOT_XRTOL + XTOL
         stop |= fail | (dx < tol)
         out[active] = xmin
         if stop.any():
             keep = ~stop
             active = active[keep]
-            x1, f1, x2, f2, x3, f3, dx, tol, fatol = (
-                v[keep] for v in (x1, f1, x2, f2, x3, f3, dx, tol, fatol)
+            x1, f1, s1, x2, f2, x3, f3, d21, dx, tol, fatol = (
+                v[keep] for v in (x1, f1, s1, x2, f2, x3, f3, d21, dx, tol, fatol)
             )
             args = tuple(v[keep] for v in args)
         if not active.size:
             break
         if nit:
             # Inverse quadratic interpolation where the three points allow
-            # it, bisection otherwise; kept tol away from both ends.
+            # it, bisection otherwise; kept tol away from both ends. With
+            # f2 - f3 = -(f3 - f2), scipy's "- ... / (f2 - f3)" is
+            # "+ ... / df32" bit for bit wherever iqi holds (df32 != 0).
             with np.errstate(divide="ignore", invalid="ignore"):
+                df12, df32 = f1 - f2, f3 - f2
                 xi1 = (x1 - x2) / (x3 - x2)
-                phi1 = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
+                phi1 = df12 / df32
+                alpha = (x3 - x1) / d21
                 iqi = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
                 t = np.where(
                     iqi,
-                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                    f1 / df12 * f3 / df32 + alpha * f1 / (f3 - f1) * f2 / df32,
                     0.5,
                 )
                 tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
+            t = np.minimum(np.maximum(t, tl), 1 - tl)
     return out
 
 

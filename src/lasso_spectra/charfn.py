@@ -11,7 +11,12 @@ where the pendant end pair (u_k, u_k') is (C_k, C_k^{[1]}). The pinned
 problem Lj replaces the end condition of pendant j by y(0) = 0, which swaps
 that pendant's pair for (S_j, S_j^{[1]}); nothing else changes. Zeros (with
 multiplicity) are the eigenvalues. So each pendant propagates only the column
-of its pair, and the cycle its whole propagator.
+of its pair, and the cycle both columns.
+
+An evaluation runs on the graph's compiled plan (ValidatedGraph.plan): one
+propagate.Steps per call (one sqrt, one (phi0, phi1) pair per distinct segment
+length), then each wanted column once per group of edges with equal segments,
+so equal pendants propagate once; no per-segment object is built.
 
 Sign convention: the global (-1)^p matches the closed form of the
 zero-potential function, so that the ratio of perturbed to free
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import NearPole
 from .graph import Problem, ValidatedGraph, validate
-from .propagate import fundamental_solutions, phi_table
+from .propagate import FundamentalSolution, Steps
 
 # Scale-aware cutoff for pole detection in the Weyl function.
 NEARPOLE_COEF = 1e-9
@@ -41,13 +46,26 @@ BLOCK_POINTS = 4096
 
 
 def _evaluate(graph: ValidatedGraph, lam, j: int):
-    """assemble(., j) on what it reads: the cycle's whole propagator, and on
-    each pendant the column of its end pair."""
-    phis = phi_table([h for segs in graph.segments for _, h in segs], lam)
-    columns = [None] + ["S" if k == j else "C" for k in range(1, len(graph.segments))]
-    return assemble(
-        [fundamental_solutions(s, lam, phis, c) for s, c in zip(graph.segments, columns)], j
-    )
+    """assemble(., j) on what it reads: the cycle's two columns, and on each
+    pendant the column of its end pair. Edges with equal segments share
+    their columns (ValidatedGraph.plan), so equal pendants propagate once."""
+    plan = graph.plan
+    at = Steps(lam, plan.lengths)
+    columns = {}
+
+    def column(k: int, name: str):
+        key = (plan.same[k], name)
+        if key not in columns:
+            columns[key] = at.column(plan.steps[k], name)
+        return columns[key]
+
+    fs = [FundamentalSolution(*column(0, "C"), *column(0, "S"))]
+    for k in range(1, len(plan.steps)):
+        if k == j:
+            fs.append(FundamentalSolution(None, None, *column(k, "S")))
+        else:
+            fs.append(FundamentalSolution(*column(k, "C")))
+    return assemble(fs, j)
 
 
 def assemble(fs, j: int):
@@ -71,7 +89,7 @@ def charfn_for(graph, problem: Problem, lam):
     problem.check(graph)
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.size <= BLOCK_POINTS:
-        return _evaluate(graph, lam, problem.j)
+        return _evaluate(graph, lam_arr, problem.j)
     flat = lam_arr.ravel()
     out = np.empty_like(flat)
     for start in range(0, flat.size, BLOCK_POINTS):

@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadBreakpoints, BadIndex, IrrationalLength, NoPendantEdge
+from .propagate import compile_steps
 
 UNITS = {"1": 1.0, "pi": math.pi}
 
@@ -115,6 +116,17 @@ class GraphSpec:
 
 
 @dataclass(frozen=True)
+class EvalPlan:
+    """An evaluation plan: the distinct segment lengths, each edge's steps as
+    (sigma, index into lengths), and for each edge the first edge with equal
+    segments, whose propagated columns it shares."""
+
+    lengths: tuple[float, ...]
+    steps: tuple[tuple[tuple[float, int], ...], ...]
+    same: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class ValidatedGraph:
     """Immutable, validated graph handle. Edge 0 is the cycle."""
 
@@ -133,6 +145,15 @@ class ValidatedGraph:
     def segments(self) -> tuple[tuple[tuple[float, float], ...], ...]:
         """Every edge's (sigma, h) segments, compiled once per graph."""
         return tuple(e.segments(self.unit_value) for e in self.edges)
+
+    @cached_property
+    def plan(self) -> EvalPlan:
+        """What one evaluation of the characteristic function needs, compiled
+        once per graph from the segments."""
+        lengths, steps = compile_steps(self.segments)
+        first = {}
+        same = tuple(first.setdefault(segs, k) for k, segs in enumerate(self.segments))
+        return EvalPlan(lengths, steps, same)
 
     def edge_length(self, j: int) -> float:
         """Physical length of edge j as a float."""

@@ -33,7 +33,8 @@ equal (diagonal, |off-diagonal|), and over a run of m rows the elimination
 of T_c - sigma follows Chebyshev polynomials in closed form, so one pass
 over the runs (_pass) gives the last pivot r, d(1/r)/dsigma, det(T_c - sigma)
 and its log-derivative, at O(runs) per chain and shift instead of O(dim).
-s and s' take one pass per pendant and two on the cycle, and a Newton step
+s and s' take one pass per pendant and two on the cycle (three near an
+eigenvalue of the cycle's chain without its last row), and a Newton step
 on a chain eigenvalue one. The lowest eigenvalues agree with a dense
 symmetric solve within ~3e-11 relative at 50-160 points per unit, and with
 gtsv-based bisection of s within 1e-10 on the shipped configs and the
@@ -457,7 +458,7 @@ def _continue_mu(op: DiscreteOperator, last: int, coarse_mu: np.ndarray, coarse_
 
 def _schur(op: DiscreteOperator):
     """s(sigma) = a - sigma - b^T (T - sigma)^(-1) b and s' = -1 - |(T - sigma)^(-1) b|^2,
-    in one pass per chain end that b couples (two on the cycle).
+    in one pass per chain end that b couples (two or three on the cycle).
 
     Every chain end that b couples adds to b^T (T - sigma)^(-1) b. A pendant's
     chain ends at its vertex row v and adds b_v^2 / r_v. The cycle's chain
@@ -468,6 +469,14 @@ def _schur(op: DiscreteOperator):
     This is b_1^2 G_11 + 2 b_1 b_m G_1m + b_m^2 G_mm regrouped: where
     b^T v = 0 at a mu of the cycle, y vanishes with r_m and the pole's residue
     y^2 is exact to second order, as it is in an LU solve.
+
+    The regrouping has poles of its own at the eigenvalues of T', where its two
+    terms grow and cancel: 1 / r's ~1e-12 relative error in terms ~1e5 put
+    eigenvalues near one off by up to ~5e-11 relative. Where the
+    unregrouped form's terms are the smaller (by G_11 = G'_11 + pi^2 / r_m,
+    G_1m = pi / r_m and G_mm = 1 / r_m), a third pass, over T_c reversed,
+    gives G_11 = 1 / r_1 and s takes b_1^2 / r_1 + (y + b_1 pi) b_m / r_m,
+    whose poles are the mu alone.
     """
     # Byte-identical pendants (with their b_v) add one term, b_v^2 summed.
     pendants: dict[bytes, list] = {}
@@ -478,7 +487,8 @@ def _schur(op: DiscreteOperator):
         if z - a > 1 and op.b[a]:
             sign = float(np.prod(-np.sign(off)))
             head, back = _runs(diag[:-1], off[:-1]), _runs(diag[-2::-1], off[-2::-1])
-            cycles.append((head, back, float(op.b[a]), last, float(diag[-1]), float(off[-1]), sign))
+            whole = _runs(diag[::-1], off[::-1])
+            cycles.append((head, back, whole, float(op.b[a]), last, float(diag[-1]), float(off[-1]), sign))
         else:
             pendants.setdefault(diag.tobytes() + off.tobytes(), [_runs(diag, off), 0.0])[1] += last * last
 
@@ -489,15 +499,22 @@ def _schur(op: DiscreteOperator):
         for runs, weight in pendants.values():
             r, p, _, _ = _pass(runs, sigma)
             s, slope = s - weight / r, slope - weight * p
-        for head, back, first, last, d, off, sign in cycles:
+        for head, back, whole, first, last, d, off, sign in cycles:
             r, p, cof, dlog = _pass(head, sigma)
             rm = (d - sigma) - off * off / r or _TINY
             pm = (1.0 + off * off * p) / (rm * rm)  # d(1 / r_m) / dsigma
             pi = sign * abs(off) * cof
             y, dy = last + first * pi, -first * pi * dlog
             r, p, _, _ = _pass(back, sigma)
-            s -= first * first / r + y * y / rm
-            slope -= first * first * p + 2.0 * y * dy / rm + y * y * pm
+            grouped = first * first / abs(r) + y * y / abs(rm)
+            whole_y = (y + first * pi) * last  # 2 b_1 b_m pi + b_m^2
+            if 8.0 * (first * first * abs(1.0 / r + pi * pi / rm) + abs(whole_y / rm)) < grouped:
+                r, p, _, _ = _pass(whole, sigma)
+                s -= first * first / r + whole_y / rm
+                slope -= first * first * p + 2.0 * last * dy / rm + whole_y * pm
+            else:
+                s -= first * first / r + y * y / rm
+                slope -= first * first * p + 2.0 * y * dy / rm + y * y * pm
         return s, slope
 
     return schur

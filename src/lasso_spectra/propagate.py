@@ -6,19 +6,23 @@ is the first-order system (y, u)' = A (y, u), A = [[sigma, 1], [-sigma^2-lambda,
 length h is exactly phi0(lambda, h) I + phi1(lambda, h) A, where phi0, phi1 are
 the entire-in-lambda cosine/sinc pair. Multiplying segment propagators gives the
 endpoint values of the fundamental solutions C (state (1,0) at x=0) and S
-(state (0,1)) with no discretization error beyond rounding. Where only one of
-them is needed, its column alone is propagated, with the same products.
+(state (0,1)) with no discretization error beyond rounding.
 
-Edges enter as float (sigma, h) segments, compiled once per graph
-(ValidatedGraph.segments). One evaluation computes phi_pair once per distinct
-segment length (phi_table) and shares it across all edges.
+Edges are compiled once (compile_steps; ValidatedGraph.plan for a whole graph)
+into steps (sigma, index of the segment length among the distinct lengths).
+One evaluation (Steps) takes one sqrt of lambda, one (phi0, phi1) pair per
+distinct length and -(sigma^2 + lambda) once per distinct sigma, and then
+propagates each wanted column of the step product on its own, with the
+products of the whole matrix; a sigma = 0 step needs only its lower-left
+entry, one multiply. No per-segment object is built.
 
 All functions accept a scalar or ndarray lambda and are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,98 +31,132 @@ import numpy as np
 SERIES_SWITCH = 1e-4
 
 
-def _trig(lam, h: float):
-    rho = np.sqrt(lam)
-    return np.cos(rho * h), np.sin(rho * h) / rho
+def _phi_pairs(lam: np.ndarray, lengths) -> list:
+    """phi_pair(lam, h) for each h in lengths, lam a float ndarray of at least
+    one dimension. One sqrt serves every length; |lambda| h^2 <= SERIES_SWITCH
+    takes the Taylor series."""
+    lo = lam.min(initial=np.inf)
+    # With every lambda > 0 only the sign of the largest matters below.
+    hi = lo if lo > 0 else lam.max(initial=-np.inf)
+    # Whether some lambda < 0 or some lambda > 0; a nan reads as both, so
+    # that the other points keep their own branch.
+    below, above = not lo >= 0, not hi <= 0
+    # rho for lambda > 0 and kappa = sqrt(-lambda) for lambda < 0, at once.
+    r = np.sqrt(lam if lo > 0 else -lam if hi < 0 else np.abs(lam))
+    pos = lam > 0 if below and above else None  # a mask only where both occur
+    # r = 0 only at lambda = 0, which the series takes.
+    nonzero = None if lo > 0 or hi < 0 else r != 0.0
+    pairs = []
+    # Beyond kappa*h ~ 709 the honest value of cosh and sinh is inf.
+    with np.errstate(over="ignore") if below else nullcontext():
+        for h in lengths:
+            rh = r * h
+            if pos is not None:
+                phi0 = np.where(pos, np.cos(rh), np.cosh(rh))
+                phi1 = np.where(pos, np.sin(rh), np.sinh(rh))
+            elif below:
+                phi0, phi1 = np.cosh(rh), np.sinh(rh)
+            else:
+                phi0, phi1 = np.cos(rh), np.sin(rh)
+            if nonzero is None:
+                phi1 /= r
+            else:
+                np.divide(phi1, r, out=phi1, where=nonzero)
+            # The min and max of lambda * h^2 are lo * h^2 and hi * h^2, so one
+            # sign past the series settles the whole array.
+            hh = h * h
+            if not (lo * hh > SERIES_SWITCH or hi * hh < -SERIES_SWITCH):
+                _series(lam * hh, h, phi0, phi1)
+            pairs.append((phi0, phi1))
+    return pairs
 
 
-def _hyp(lam, h: float):
-    kappa = np.sqrt(-lam)
-    with np.errstate(over="ignore"):  # beyond kappa*h ~ 709 the honest value is inf
-        return np.cosh(kappa * h), np.sinh(kappa * h) / kappa
-
-
-def phi_pair(lam, h: float):
-    """The pair (phi0, phi1) with phi0 = cos(rho h), phi1 = sin(rho h)/rho.
-
-    Here lambda = rho^2; negative lambda continues to cosh/sinh, and the
-    lambda -> 0 limit is (1, h). Entire in lambda, hence even in rho.
-    """
-    lam_arr = np.asarray(lam, dtype=float)
-    scalar = lam_arr.ndim == 0
-    lam_arr = np.atleast_1d(lam_arr)
-    z = lam_arr * (h * h)
-    # One sign past the series on the whole array: no masks or scatters.
-    if z.min(initial=np.inf) > SERIES_SWITCH:
-        phi0, phi1 = _trig(lam_arr, h)
-    elif z.max() < -SERIES_SWITCH:
-        phi0, phi1 = _hyp(lam_arr, h)
-    else:
-        phi0 = np.empty_like(lam_arr)
-        phi1 = np.empty_like(lam_arr)
-        small = np.abs(z) <= SERIES_SWITCH
-        pos = ~small & (lam_arr > 0)
-        neg = ~small & (lam_arr < 0)
-        phi0[pos], phi1[pos] = _trig(lam_arr[pos], h)
-        phi0[neg], phi1[neg] = _hyp(lam_arr[neg], h)
+def _series(z, h, phi0, phi1):
+    """The Taylor series of (phi0, phi1) in z = lambda h^2, written over the
+    points with |z| <= SERIES_SWITCH."""
+    small = np.abs(z) <= SERIES_SWITCH
+    if small.any():
         zs = z[small]
         phi0[small] = 1.0 + zs * (-1.0 / 2 + zs * (1.0 / 24 + zs * (-1.0 / 720 + zs / 40320)))
         phi1[small] = h * (
             1.0 + zs * (-1.0 / 6 + zs * (1.0 / 120 + zs * (-1.0 / 5040 + zs / 362880)))
         )
 
-    if scalar:
+
+def phi_pair(lam, h: float):
+    """The pair (phi0, phi1) with phi0 = cos(rho h), phi1 = sin(rho h)/rho.
+
+    Here lambda = rho^2; negative lambda continues to cosh/sinh, and the
+    lambda -> 0 limit is (1, h). Entire in lambda, hence even in rho. Floats
+    for a scalar lambda.
+    """
+    lam_arr = np.asarray(lam, dtype=float)
+    ((phi0, phi1),) = _phi_pairs(np.atleast_1d(lam_arr), (h,))
+    if lam_arr.ndim == 0:
         return float(phi0[0]), float(phi1[0])
     return phi0, phi1
 
 
-@dataclass(frozen=True)
-class StateMatrix:
-    """2x2 propagator acting on the state (y, y' - sigma y); det = 1."""
-
-    a: object  # row 1: [a, b]
-    b: object
-    c: object  # row 2: [c, d]
-    d: object
-
-    def __matmul__(self, other: "StateMatrix") -> "StateMatrix":
-        return StateMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-
-def _lam_value(lam):
-    """A float for scalar lambda, a float ndarray otherwise."""
-    lam_arr = np.asarray(lam, dtype=float)
-    return float(lam_arr) if lam_arr.ndim == 0 else lam_arr
-
-
-def phi_table(lengths, lam) -> dict:
-    """phi_pair(lam, h) once for each distinct segment length h."""
-    lam = _lam_value(lam)
-    return {h: phi_pair(lam, h) for h in set(lengths)}
-
-
-def _step(sigma: float, lam, phi0, phi1) -> StateMatrix:
-    return StateMatrix(
-        phi0 + phi1 * sigma,
-        phi1,
-        -phi1 * (sigma * sigma + lam),
-        phi0 - phi1 * sigma,
+def compile_steps(edges):
+    """(lengths, steps) for edges given as (sigma, h) segments: the distinct
+    segment lengths, and each edge's segments as (sigma, index into lengths)."""
+    index: dict[float, int] = {}
+    steps = tuple(
+        tuple((sigma, index.setdefault(h, len(index))) for sigma, h in segments)
+        for segments in edges
     )
+    return tuple(index), steps
 
 
-def step_matrix(sigma: float, h: float, lam) -> StateMatrix:
-    """Propagator over one constant-sigma segment: phi0 I + phi1 A."""
-    lam = _lam_value(lam)
-    return _step(sigma, lam, *phi_pair(lam, h))
+class Steps:
+    """The step coefficients of one evaluation at lambda: (phi0, phi1) once per
+    distinct segment length, -(sigma^2 + lambda) once per distinct sigma.
+
+    A scalar lambda is evaluated in Python floats, an array one elementwise.
+    """
+
+    __slots__ = ("lam", "phis", "_shifts")
+
+    def __init__(self, lam, lengths):
+        lam_arr = np.asarray(lam, dtype=float)
+        if lam_arr.ndim == 0:
+            self.lam = float(lam_arr)
+            pairs = _phi_pairs(lam_arr.reshape(1), lengths)
+            self.phis = [(float(phi0[0]), float(phi1[0])) for phi0, phi1 in pairs]
+        else:
+            self.lam = lam_arr
+            self.phis = _phi_pairs(lam_arr, lengths)
+        self._shifts = {}
+
+    def _shift(self, sigma: float):
+        """-(sigma^2 + lambda): times phi1, the step's lower-left entry."""
+        shift = self._shifts.get(sigma)
+        if shift is None:
+            shift = self._shifts[sigma] = -(sigma * sigma + self.lam)
+        return shift
+
+    def column(self, steps, name: str):
+        """End values (y, y^{[1]}) over an edge's steps from the state (1, 0)
+        (name "C") or (0, 1) (name "S"): that column of the ordered product of
+        the step matrices [[phi0 + phi1 sigma, phi1], [-phi1 (sigma^2 + lambda),
+        phi0 - phi1 sigma]], with the same products as the whole matrix."""
+        y = u = None
+        for sigma, i in steps:
+            phi0, phi1 = self.phis[i]
+            if sigma:
+                ps = phi1 * sigma
+                a, d = phi0 + ps, phi0 - ps
+            else:  # phi0 +- phi1 * 0.0 is phi0 (never 0) wherever phi1 is finite
+                a = d = phi0
+            if y is None and name == "S":
+                y, u = phi1, d
+                continue
+            c = phi1 * self._shift(sigma)
+            y, u = (a, c) if y is None else (a * y + phi1 * u, c * y + d * u)
+        return y, u
 
 
-@dataclass(frozen=True)
-class FundamentalSolution:
+class FundamentalSolution(NamedTuple):
     """Endpoint values C, C^{[1]}, S, S^{[1]} at x = |e| for a given lambda
     (None for a column not propagated)."""
 
@@ -131,23 +169,15 @@ class FundamentalSolution:
         return self.C * self.S1 - self.C1 * self.S
 
 
-def fundamental_solutions(segments, lam, phis=None, column=None) -> FundamentalSolution:
+def fundamental_solutions(segments, lam, column=None) -> FundamentalSolution:
     """Ordered product of the propagators of an edge's compiled (sigma, h)
     segments (EdgeSpec.segments); its columns are (C, C1) and (S, S1).
 
-    phis is a phi_table at this lambda covering every h, shared by the edges
-    of one evaluation; without it the table is built here. column "C" or "S"
-    propagates that column alone and leaves the other pair None; a column
-    takes the same products as in the whole matrix.
+    column "C" or "S" propagates that column alone and leaves the other pair
+    None; a column takes the same products as in the whole matrix.
     """
-    lam = _lam_value(lam)
-    if phis is None:
-        phis = phi_table([h for _, h in segments], lam)
-    first, *rest = (_step(sigma, lam, *phis[h]) for sigma, h in segments)
-    ends = {}
-    for name in ("C", "S") if column is None else (column,):
-        y, u = (first.a, first.c) if name == "C" else (first.b, first.d)
-        for step in rest:
-            y, u = step.a * y + step.b * u, step.c * y + step.d * u
-        ends[name], ends[name + "1"] = y, u
-    return FundamentalSolution(**ends)
+    lengths, (steps,) = compile_steps((segments,))
+    at = Steps(lam, lengths)
+    c = at.column(steps, "C") if column in (None, "C") else (None, None)
+    s = at.column(steps, "S") if column in (None, "S") else (None, None)
+    return FundamentalSolution(*c, *s)

@@ -181,7 +181,6 @@ class ErrorReport:
     direct: np.ndarray
     rel_error: np.ndarray  # NaN at flagged/skipped points
     max_rel: float
-    median_rel: float
 
     def to_csv(self) -> str:
         lines = ["lambda,delta_hat,delta_direct,rel_error"]
@@ -200,8 +199,7 @@ def compare(result: ReconstructionResult, direct) -> ErrorReport:
     rel[ok] = np.abs(result.values[ok] - direct_vals[ok]) / np.abs(direct_vals[ok])
     finite = rel[np.isfinite(rel)]
     max_rel = float(np.max(finite)) if finite.size else float("nan")
-    median_rel = float(np.median(finite)) if finite.size else float("nan")
-    return ErrorReport(result.grid, result.values, direct_vals, rel, max_rel, median_rel)
+    return ErrorReport(result.grid, result.values, direct_vals, rel, max_rel)
 
 
 def result_to_csv(result: ReconstructionResult) -> str:

@@ -1,14 +1,17 @@
 import math
 
 import numpy as np
+import propagate_reference
 import pytest
 from free_reference import free_charfn, free_charfn_dirichlet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lasso_spectra import charfn
 from lasso_spectra.charfn import assemble, charfn_for, weyl
 from lasso_spectra.errors import BadIndex, NearPole
-from lasso_spectra.graph import Problem, delta_potential, lasso_graph
-from lasso_spectra.propagate import fundamental_solutions
+from lasso_spectra.graph import PotentialSpec, Problem, delta_potential, lasso_graph
+from lasso_spectra.propagate import Steps, fundamental_solutions
 
 
 def test_cycle_charfn_free(unit_lasso_p1):
@@ -157,3 +160,103 @@ def test_blocked_evaluation_matches_whole_array(delta_lasso):
         square = charfn_for(delta_lasso, problem, lam[: 90 * 90].reshape(90, 90))
         assert square.shape == (90, 90)
         assert square.tobytes() == whole[: 90 * 90].tobytes()
+
+
+_LENGTHS = st.fractions(min_value="1/4", max_value=3, max_denominator=4)
+_STRENGTHS = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@st.composite
+def _edge_potential(draw, length):
+    """None (sigma = 0) or one or two deltas at rational interior points."""
+    if draw(st.booleans()):
+        return None
+    cuts = sorted(set(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))))
+    breakpoints = [0, *(length * c / 8 for c in cuts), length]
+    values = [0.0]
+    for _ in cuts:
+        values.append(values[-1] + draw(_STRENGTHS))
+    return PotentialSpec(tuple(breakpoints), tuple(values))
+
+
+@st.composite
+def _lassos(draw):
+    """p = 1..4 pendants drawn with replacement from at most three, so that
+    equal pendants recur; deltas on the cycle and on the pendants."""
+    cycle = draw(_LENGTHS)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(_LENGTHS)
+        pool.append((length, draw(_edge_potential(length))))
+    pendants = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return lasso_graph(
+        cycle,
+        [length for length, _ in pendants],
+        potentials=[draw(_edge_potential(cycle))] + [pot for _, pot in pendants],
+        length_unit=draw(st.sampled_from(["1", "pi"])),
+    )
+
+
+# Below 0 (down past cosh overflow), the series region |lambda| h^2 <= 1e-4
+# (with +-0.0) and around its switch, and above 0; a nan must leave the other
+# points as they are.
+_LAMBDAS = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e7, max_value=-1e-3),
+        st.sampled_from([0.0, -0.0, np.nan]),
+        st.floats(min_value=-1e-6, max_value=1e-6),
+        st.floats(min_value=-1e-3, max_value=1e-3),
+        st.floats(min_value=1e-3, max_value=1e4),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_lassos(), lams=_LAMBDAS)
+def test_compiled_evaluation_matches_segment_products(graph, lams):
+    """L and every Lj equal assemble on the per-segment step products, byte
+    for byte where those are finite, and are non-finite where they are not;
+    for a scalar lambda as for the array."""
+    lam = np.array(lams)
+    for j in range(graph.p + 1):
+        problem = Problem.dirichlet(j) if j else Problem.neumann()
+        with np.errstate(all="ignore"):
+            want = np.asarray(propagate_reference.charfn(graph, j, lam))
+            got = charfn_for(graph, problem, lam)
+            want0 = propagate_reference.charfn(graph, j, lams[0])
+            got0 = charfn_for(graph, problem, lams[0])
+        assert type(got0) is float
+        for got, want in ((got, want), (np.array([got0]), np.array([want0]))):
+            finite = np.isfinite(want)
+            assert got[finite].tobytes() == want[finite].tobytes()
+            assert not np.isfinite(got[~finite]).any()
+
+
+def test_equal_pendants_propagate_once(monkeypatch):
+    """Edges with equal segments propagate each column once per call: three
+    equal pendants cost one C column, or one S and one C column when one of
+    them is pinned; a pendant equal to the cycle reuses the cycle's C."""
+    columns = []
+    propagate_column = Steps.column
+
+    def counted(self, steps, name):
+        columns.append(name)
+        return propagate_column(self, steps, name)
+
+    monkeypatch.setattr(Steps, "column", counted)
+    kick = delta_potential(1, "1/3", -7.5)
+    graph = lasso_graph(
+        1, [1, 1, 1, 2], potentials=[delta_potential(1, "1/2", 2.0), kick, kick, kick, None]
+    )
+    lam = np.linspace(-20.0, 60.0, 178)
+    for j, want in ((0, ["C", "S", "C", "C"]), (2, ["C", "S", "C", "S", "C"])):
+        columns.clear()
+        got = charfn_for(graph, Problem.dirichlet(j) if j else Problem.neumann(), lam)
+        assert columns == want
+        assert got.tobytes() == propagate_reference.charfn(graph, j, lam).tobytes()
+    free = lasso_graph(1, [1, 1], length_unit="pi")
+    columns.clear()
+    charfn_for(free, Problem.neumann(), lam)
+    assert columns == ["C", "S"]

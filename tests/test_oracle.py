@@ -415,6 +415,14 @@ def test_richardson_continuation_matches_cold_solves_random(cycle, pool, picks, 
     _assert_continuation_matches_cold(graph, problem, count, 50)
 
 
+def test_cycle_term_near_an_eigenvalue_of_the_cycle_without_its_last_row():
+    # A nearly symmetric cycle: on the fine grid lambda_3 = 40.2100 lies 0.02
+    # below an eigenvalue of the cycle's chain without its last row, where the
+    # regrouped cycle term cancels; warm and cold solves differed by 1.2e-10.
+    graph = _lasso([(Fraction(1), (1, 2.0**-9)), (Fraction(1, 2), (2, -0.5625))])
+    _assert_continuation_matches_cold(graph, Problem.neumann(), 4, 50)
+
+
 def _lapack_reference(op, count):
     """The count smallest eigenvalues and the chain eigenvalues mu, by LAPACK:
     mu from eigh_tridiagonal, and each eigenvalue by bisection on the sign of

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from propagate_reference import StateMatrix, step_matrix
 from scipy.integrate import solve_ivp
 
 from lasso_spectra.graph import (
@@ -14,14 +15,7 @@ from lasso_spectra.graph import (
     lasso_graph,
     zero_potential,
 )
-from lasso_spectra.propagate import (
-    SERIES_SWITCH,
-    StateMatrix,
-    fundamental_solutions,
-    phi_pair,
-    phi_table,
-    step_matrix,
-)
+from lasso_spectra.propagate import SERIES_SWITCH, fundamental_solutions, phi_pair
 
 
 def test_phi_pair_lambda_zero():
@@ -116,21 +110,27 @@ def test_phi_pair_negative_fast_path_is_bit_identical(h):
     assert np.isinf(whole[0][0]) and np.isinf(whole[1][0])
 
 
+def _one_step(sigma, h, lam):
+    """The propagator [[a, b], [c, d]] over one constant-sigma segment, as the
+    end values of a one-segment edge: (C, S, C1, S1)."""
+    f = fundamental_solutions(((sigma, h),), lam)
+    return f.C, f.S, f.C1, f.S1
+
+
 def test_step_matrix_free_forms():
     rho = 1.7
-    m = step_matrix(0.0, 1.0, rho**2)
+    m = _one_step(0.0, 1.0, rho**2)
     assert np.allclose(
-        [m.a, m.b, m.c, m.d],
+        m,
         [math.cos(rho), math.sin(rho) / rho, -rho * math.sin(rho), math.cos(rho)],
         atol=1e-14,
     )
-    shear = step_matrix(0.0, 0.8, 0.0)
-    assert (shear.a, shear.b, shear.c, shear.d) == (1.0, 0.8, 0.0, 1.0)
+    assert _one_step(0.0, 0.8, 0.0) == (1.0, 0.8, 0.0, 1.0)
 
 
 def test_step_matrix_sigma_one_shear():
-    m = step_matrix(1.0, 1.0, 0.0)
-    assert np.allclose([m.a, m.b, m.c, m.d], [2.0, 1.0, -1.0, 0.0], atol=1e-15)
+    m = _one_step(1.0, 1.0, 0.0)
+    assert np.allclose(m, [2.0, 1.0, -1.0, 0.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("sigma,h,lam", [(1.0, 1.0, 0.0), (1.0, 1.0, 2.7), (-2.0, 0.6, -3.0)])
@@ -138,16 +138,16 @@ def test_step_matrix_against_rk_oracle(sigma, h, lam):
     def rhs(_, y):
         return [sigma * y[0] + y[1], -(sigma**2 + lam) * y[0] - sigma * y[1]]
 
-    m = step_matrix(sigma, h, lam)
-    for y0, want in (([1.0, 0.0], (m.a, m.c)), ([0.0, 1.0], (m.b, m.d))):
+    a, b, c, d = _one_step(sigma, h, lam)
+    for y0, want in (([1.0, 0.0], (a, c)), ([0.0, 1.0], (b, d))):
         sol = solve_ivp(rhs, (0.0, h), y0, rtol=1e-12, atol=1e-14)
         assert np.allclose(sol.y[:, -1], want, atol=1e-9)
 
 
 def test_step_matrix_determinant_one():
     for sigma, h, lam in [(0.3, 0.5, 11.0), (5.0, 1.2, -2.0), (-1.0, 2.0, 0.0)]:
-        m = step_matrix(sigma, h, lam)
-        assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
+        a, b, c, d = _one_step(sigma, h, lam)
+        assert abs(a * d - b * c - 1.0) < 1e-12
 
 
 def test_fundamental_free_edge_closed_form():
@@ -223,8 +223,7 @@ def test_compiled_segments_match_step_product(lam):
         ],
         length_unit="pi",
     )
-    phis = phi_table([h for segs in graph.segments for _, h in segs], lam)
-    assert len(phis) == 3
+    assert len(graph.plan.lengths) == 3
     for edge, segs in zip(graph.edges, graph.segments):
         bp = edge.potential.breakpoints
         steps = [
@@ -234,13 +233,12 @@ def test_compiled_segments_match_step_product(lam):
         want = steps[0]
         for step in steps[1:]:
             want = step @ want
-        for shared in (phis, None):
-            got = fundamental_solutions(segs, lam, shared)
-            c_col = fundamental_solutions(segs, lam, shared, "C")
-            s_col = fundamental_solutions(segs, lam, shared, "S")
-            assert c_col.S is c_col.S1 is s_col.C is s_col.C1 is None
-            for x, y in (
-                (got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d),
-                (c_col.C, want.a), (c_col.C1, want.c), (s_col.S, want.b), (s_col.S1, want.d),
-            ):
-                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        got = fundamental_solutions(segs, lam)
+        c_col = fundamental_solutions(segs, lam, "C")
+        s_col = fundamental_solutions(segs, lam, "S")
+        assert c_col.S is c_col.S1 is s_col.C is s_col.C1 is None
+        for x, y in (
+            (got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d),
+            (c_col.C, want.a), (c_col.C1, want.c), (s_col.S, want.b), (s_col.S1, want.d),
+        ):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
