@@ -17,12 +17,8 @@ from .graph import (
     validate,
     zero_potential,
 )
-from .oracle import DiscreteOperator, discretize, oracle_eigs, richardson_eigs
-from .propagate import (
-    FundamentalSolution,
-    fundamental_solutions,
-    phi_pair,
-)
+from .oracle import DiscreteOperator, discretize, richardson_eigs
+from .propagate import FundamentalSolution, fundamental_solutions
 from .reconstruct import (
     ReconstructionResult,
     compare,

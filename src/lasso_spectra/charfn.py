@@ -16,7 +16,9 @@ of its pair, and the cycle both columns.
 An evaluation runs on the graph's compiled plan (ValidatedGraph.plan): one
 propagate.Steps per call (one sqrt, one (phi0, phi1) pair per distinct segment
 length), then each wanted column once per group of edges with equal segments,
-so equal pendants propagate once; no per-segment object is built.
+so equal pendants propagate once; no per-segment object is built. Every
+characteristic-function value goes through it, a frame's free d_0 included
+(trigpoly.AsymptoticFrame.eval_lambda); a scalar lambda gives a float.
 
 Sign convention: the global (-1)^p matches the closed form of the
 zero-potential function, so that the ratio of perturbed to free
@@ -88,6 +90,8 @@ def charfn_for(graph, problem: Problem, lam):
     graph = validate(graph)
     problem.check(graph)
     lam_arr = np.asarray(lam, dtype=float)
+    if lam_arr.ndim == 0:
+        return float(_evaluate(graph, lam_arr.reshape(1), problem.j)[0])
     if lam_arr.size <= BLOCK_POINTS:
         return _evaluate(graph, lam_arr, problem.j)
     flat = lam_arr.ravel()

@@ -59,11 +59,11 @@ def wronskian(graph, lam) -> Check:
     return _check("wronskian", start, worst, WRONSKIAN_TOL, {"max_deviation": worst})
 
 
-def free_closed_form(graph, problem: Problem, frame, rho) -> Check:
-    """The exact free expansion against the propagated zero-potential twin."""
+def free_closed_form(frame, rho) -> Check:
+    """The exact free expansion against its propagated value (rho * d_0 for sinc)."""
     start = time.perf_counter()
-    direct = charfn_for(graph.with_zero_potential(), problem, rho * rho)
-    closed = frame.eval_lambda(rho * rho)
+    closed = frame.poly(rho)
+    direct = frame.eval_lambda(rho * rho) * (rho if frame.flavor == "sinc" else 1.0)
     scale = np.max(np.abs(closed)) or 1.0
     dev = float(np.max(np.abs(direct - closed)) / scale)
     return _check("free_closed_form", start, dev, CLOSED_FORM_TOL, {"max_relative_deviation": dev})
@@ -163,7 +163,7 @@ def verify(graph, rho_max: float, n_max: int) -> list[Check]:
     # absolute WRONSKIAN_TOL needs those below ~1e3.
     head = [
         wronskian(graph, rng.uniform(-4.0, 400.0, size=200)),
-        free_closed_form(graph, problem, frame, rng.uniform(0.0, 50.0, size=200)),
+        free_closed_form(frame, rng.uniform(0.0, 50.0, size=200)),
         periodicity(frame, rng.uniform(0.0, 10.0 * frame.tau, size=500)),
     ]
     bijection, catalog = catalog_bijection(graph, problem, rho_max)

@@ -47,9 +47,14 @@ NUMERIC_ERRORS = (
     FloatingPointError,
     OverflowError,
 )
+# The most points a command-line grid may have: 80 MB of lambda, and several
+# times that in the evaluation's temporaries and the CSV text.
+GRID_MAX_POINTS = 10_000_000
 
 
 def parse_grid(spec: str) -> np.ndarray:
+    """The grid start:stop:step, refused before it is allocated if it has
+    more than GRID_MAX_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
@@ -58,11 +63,10 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
-    cells = (stop - start) / step
-    if not math.isfinite(cells):
-        raise ValueError(f"grid has too many points, got {spec!r}")
-    count = int(math.floor(cells + 1e-9)) + 1
-    return start + step * np.arange(count)
+    cells = (stop - start) / step + 1e-9  # a point within 1e-9 steps of stop counts
+    if not cells < GRID_MAX_POINTS:  # an overflowing count too
+        raise ValueError(f"grid has more than {GRID_MAX_POINTS} points, got {spec!r}")
+    return start + step * np.arange(int(cells) + 1)
 
 
 def _checked(convert, ok, wanted: str):

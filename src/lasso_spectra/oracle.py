@@ -592,11 +592,6 @@ def _solve(op: DiscreteOperator, count: int, coarse=None):
     return lam, mu, chain
 
 
-def oracle_eigs(op: DiscreteOperator, count: int) -> np.ndarray:
-    """The count smallest eigenvalues, ascending: one Schur-complement root per bracket."""
-    return _solve(op, count)[0]
-
-
 def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float) -> np.ndarray:
     """Eigenvalues extrapolated over grids h and h/2 (cancels the h^2 term).
 

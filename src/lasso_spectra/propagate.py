@@ -16,7 +16,8 @@ propagates each wanted column of the step product on its own, with the
 products of the whole matrix; a sigma = 0 step needs only its lower-left
 entry, one multiply. No per-segment object is built.
 
-All functions accept a scalar or ndarray lambda and are pure.
+Steps works on a float array of lambda; fundamental_solutions evaluates a
+scalar as a one-element array and returns floats. All functions are pure.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ SERIES_SWITCH = 1e-4
 
 
 def _phi_pairs(lam: np.ndarray, lengths) -> list:
-    """phi_pair(lam, h) for each h in lengths, lam a float ndarray of at least
-    one dimension. One sqrt serves every length; |lambda| h^2 <= SERIES_SWITCH
+    """The pair (phi0, phi1) = (cos(rho h), sin(rho h)/rho), lambda = rho^2, for
+    each h in lengths, lam a float ndarray of at least one dimension. Negative
+    lambda continues to cosh/sinh, and the lambda -> 0 limit is (1, h): entire
+    in lambda. One sqrt serves every length; |lambda| h^2 <= SERIES_SWITCH
     takes the Taylor series."""
     lo = lam.min(initial=np.inf)
     # With every lambda > 0 only the sign of the largest matters below.
@@ -83,20 +86,6 @@ def _series(z, h, phi0, phi1):
         )
 
 
-def phi_pair(lam, h: float):
-    """The pair (phi0, phi1) with phi0 = cos(rho h), phi1 = sin(rho h)/rho.
-
-    Here lambda = rho^2; negative lambda continues to cosh/sinh, and the
-    lambda -> 0 limit is (1, h). Entire in lambda, hence even in rho. Floats
-    for a scalar lambda.
-    """
-    lam_arr = np.asarray(lam, dtype=float)
-    ((phi0, phi1),) = _phi_pairs(np.atleast_1d(lam_arr), (h,))
-    if lam_arr.ndim == 0:
-        return float(phi0[0]), float(phi1[0])
-    return phi0, phi1
-
-
 def compile_steps(edges):
     """(lengths, steps) for edges given as (sigma, h) segments: the distinct
     segment lengths, and each edge's segments as (sigma, index into lengths)."""
@@ -109,23 +98,16 @@ def compile_steps(edges):
 
 
 class Steps:
-    """The step coefficients of one evaluation at lambda: (phi0, phi1) once per
-    distinct segment length, -(sigma^2 + lambda) once per distinct sigma.
-
-    A scalar lambda is evaluated in Python floats, an array one elementwise.
+    """The step coefficients of one evaluation at lambda, a float ndarray of
+    at least one dimension: (phi0, phi1) once per distinct segment length,
+    -(sigma^2 + lambda) once per distinct sigma, all elementwise.
     """
 
     __slots__ = ("lam", "phis", "_shifts")
 
-    def __init__(self, lam, lengths):
-        lam_arr = np.asarray(lam, dtype=float)
-        if lam_arr.ndim == 0:
-            self.lam = float(lam_arr)
-            pairs = _phi_pairs(lam_arr.reshape(1), lengths)
-            self.phis = [(float(phi0[0]), float(phi1[0])) for phi0, phi1 in pairs]
-        else:
-            self.lam = lam_arr
-            self.phis = _phi_pairs(lam_arr, lengths)
+    def __init__(self, lam: np.ndarray, lengths):
+        self.lam = lam
+        self.phis = _phi_pairs(lam, lengths)
         self._shifts = {}
 
     def _shift(self, sigma: float):
@@ -169,15 +151,16 @@ class FundamentalSolution(NamedTuple):
         return self.C * self.S1 - self.C1 * self.S
 
 
-def fundamental_solutions(segments, lam, column=None) -> FundamentalSolution:
+def fundamental_solutions(segments, lam) -> FundamentalSolution:
     """Ordered product of the propagators of an edge's compiled (sigma, h)
     segments (EdgeSpec.segments); its columns are (C, C1) and (S, S1).
 
-    column "C" or "S" propagates that column alone and leaves the other pair
-    None; a column takes the same products as in the whole matrix.
+    A scalar lambda is evaluated as a one-element array and gives floats.
     """
+    lam = np.asarray(lam, dtype=float)
     lengths, (steps,) = compile_steps((segments,))
-    at = Steps(lam, lengths)
-    c = at.column(steps, "C") if column in (None, "C") else (None, None)
-    s = at.column(steps, "S") if column in (None, "S") else (None, None)
-    return FundamentalSolution(*c, *s)
+    at = Steps(np.atleast_1d(lam), lengths)
+    values = (*at.column(steps, "C"), *at.column(steps, "S"))
+    if lam.ndim == 0:
+        values = (float(v[0]) for v in values)
+    return FundamentalSolution(*values)

@@ -160,7 +160,8 @@ def hadamard_reconstruct(catalog: SpectrumCatalog, grid, n_max: int) -> Reconstr
     entries = _truncation_entries(catalog, frame, n_max)
 
     flagged = _flagged(entries, grid)
-    d0 = np.asarray(frame.eval_lambda(grid), dtype=float)
+    with np.errstate(over="ignore"):  # d0 overflows at deeply negative lambda
+        d0 = frame.eval_lambda(grid)
     ratio = _factor_product(entries, grid) * np.exp(_log_tail(entries, frame, n_max, grid))
     ratio[flagged] = np.nan
     values = d0 * ratio

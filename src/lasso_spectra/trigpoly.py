@@ -23,6 +23,9 @@ rho0_nk = |tau n + alpha_k|, n over Z (two-sided) or from a first index on:
   - mult two-sided families at each interior zero alpha;
   - half_mult families at alpha = tau/2 from n = 0 when tau/2 is a zero
     (always the case for the sinc flavor; warned for the cosine flavor).
+
+The frame keeps the zero-potential problem it expands; its d_0 in lambda
+(eval_lambda) is `charfn.charfn_for` on that problem, through the compiled plan.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from itertools import zip_longest
 import numpy as np
 
 from ._rootscan import _roots_in
-from .charfn import assemble
+from .charfn import assemble, charfn_for
 from .errors import ConstantFunction, HalfPeriodZeroWarning
 from .graph import Problem, ValidatedGraph, validate
-from .propagate import FundamentalSolution, phi_pair
+from .propagate import FundamentalSolution
 
 
 @dataclass(frozen=True)
@@ -220,13 +223,15 @@ class Family:
 
 @dataclass(frozen=True)
 class AsymptoticFrame:
-    """Period, base zeros, and family structure of an unperturbed spectrum."""
+    """Period, base zeros, and family structure of a zero-potential problem's spectrum."""
 
     tau: float
     poly: TrigPoly  # d_0 itself (cos) or rho * d_0 (sinc); periodic either way
     mu0: int
     interior: tuple[tuple[float, int], ...]  # (alpha, mult) on (0, tau/2)
     half_mult: int  # poly multiplicity at tau/2 (0 if not a zero)
+    free_graph: ValidatedGraph  # the geometry with zero potential
+    problem: Problem
 
     @property
     def flavor(self) -> str:
@@ -303,13 +308,9 @@ class AsymptoticFrame:
         return mask, int(np.maximum(n_max + 1 - first, 0).sum())
 
     def eval_lambda(self, lam):
-        """d_0 as an entire function of lambda (cos/sinc terms via phi0/phi1)."""
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros_like(lam)
-        for f, c in zip(self.poly.freqs, self.poly.coefs):
-            phi0, phi1 = phi_pair(lam, float(f) * self.poly.unit)
-            out = out + float(c) * (phi0 if self.flavor == "cos" else phi1)
-        return float(out) if out.ndim == 0 else out
+        """d_0 as an entire function of lambda: the characteristic function of
+        the zero-potential problem, on its compiled plan."""
+        return charfn_for(self.free_graph, self.problem, lam)
 
     def lambda_deriv_at_zero(self, order: int) -> float:
         """order-th lambda-derivative of d_0 at lambda = 0 (exact Taylor)."""
@@ -379,8 +380,11 @@ def _simple_roots(factor: list[int], g: Fraction, unit: float, half: float) -> n
     return _roots_in(fn, xs[cells], xs[cells + 1], ys[cells], ys[cells + 1])
 
 
-def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
-    """Locate the zeros of the periodic polynomial on [0, tau/2] and build the frame.
+def base_zeros(
+    poly: TrigPoly, tau: float, free_graph: ValidatedGraph, problem: Problem
+) -> AsymptoticFrame:
+    """Locate the zeros of the periodic polynomial on [0, tau/2] and build the
+    frame of poly, the expansion of problem on free_graph.
 
     With g the frequency gcd and x = cos(theta), theta = g * unit * rho, a
     cosine polynomial (d_0 of L) is P(x) and a sine polynomial (rho * d_0 of
@@ -407,7 +411,9 @@ def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
                 factor = _divmod(factor, [-x, 1])[0]
                 ends[x] += mult
         interior += [(float(a), mult) for a in _simple_roots(factor, g, poly.unit, half)]
-    frame = AsymptoticFrame(tau, poly, ends[1], tuple(sorted(interior)), 2 * ends[-1] + sinc)
+    frame = AsymptoticFrame(
+        tau, poly, ends[1], tuple(sorted(interior)), 2 * ends[-1] + sinc, free_graph, problem
+    )
     assert ends[1] + ends[-1] + sinc + sum(m for _, m in interior) == max(terms), "2K zeros"
     if frame.half_period_zero:
         warnings.warn(
@@ -420,9 +426,10 @@ def base_zeros(poly: TrigPoly, tau: float) -> AsymptoticFrame:
 
 
 def build_frame(graph: ValidatedGraph, problem: Problem) -> AsymptoticFrame:
-    """Frame of the zero-potential problem with the same geometry."""
-    poly = expand_free_charfn(graph, problem)
-    return base_zeros(poly, smallest_period(poly))
+    """Frame of the zero-potential problem with the same geometry, which it keeps."""
+    free_graph = validate(graph).with_zero_potential()
+    poly = expand_free_charfn(free_graph, problem)
+    return base_zeros(poly, smallest_period(poly), free_graph, problem)
 
 
 def frame_to_json(frame: AsymptoticFrame) -> dict:

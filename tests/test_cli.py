@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,16 @@ def test_parse_grid():
         parse_grid("5:1:0.1")
     with pytest.raises(ValueError, match="finite"):
         parse_grid("0:1:inf")
+
+
+def test_parse_grid_refuses_more_than_max_points(monkeypatch):
+    # The bound is exact: GRID_MAX_POINTS points pass, one more is refused.
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", 1000)
+    assert len(parse_grid("1:1000:1")) == len(parse_grid("0:0.999:0.001")) == 1000
+    with pytest.raises(ValueError, match="more than 1000 points"):
+        parse_grid("0:1000:1")
+    with pytest.raises(ValueError, match="more than 1000 points"):
+        parse_grid("0:1:0.001")
 
 
 def test_charfn_csv_row_count(capsys):
@@ -102,6 +113,7 @@ def test_bad_pendant_index_exits_2(capsys):
         (("charfn", "--rho=0:inf:0.1"), "--rho"),
         (("charfn", "--rho=0:1:inf"), "--rho"),
         (("charfn", "--rho=-1e308:1e308:1"), "--rho"),
+        (("charfn", "--rho=0:1e12:1"), "--rho"),
         (("charfn", "--lambda=-inf:1:0.1"), "--lambda"),
         (("charfn", "--lambda=nan:1:0.1"), "--lambda"),
         (("reconstruct", "--spectra", "catalog.csv", "--lambda=0:1:nan"), "--lambda"),
@@ -117,6 +129,7 @@ def test_bad_pendant_index_exits_2(capsys):
         "charfn-rho-inf-stop",
         "charfn-rho-inf-step",
         "charfn-rho-overflowing-count",
+        "charfn-rho-too-many-points",
         "charfn-lambda-inf-start",
         "charfn-lambda-nan-start",
         "reconstruct-lambda-nan-step",
@@ -342,6 +355,72 @@ def test_verify_wronskian_matches_scalar_loop(capsys):
             worst = max(worst, abs(f.wronskian() - 1.0))
     assert check["detail"]["max_deviation"] == worst
     assert check["passed"] and worst <= 1e-10
+
+
+def _set(path, value):
+    """A change to the lasso_delta config: value at the key path."""
+
+    def change(blob):
+        *head, last = path
+        for key in head:
+            blob = blob[key]
+        blob[last] = value
+
+    return change
+
+
+CONFIG_REFUSALS = {
+    "unknown-role": (_set(("edges", 1, "role"), "loop"), "unknown edge role 'loop'"),
+    "edge-0-not-cycle": (_set(("edges", 0, "role"), "pendant"), "edge 0 must be the cycle edge"),
+    "second-cycle": (_set(("edges", 2, "role"), "cycle"), "exactly one cycle edge is allowed"),
+    "unknown-unit": (_set(("length_unit",), "2pi"), "unknown length unit '2pi'"),
+    "ids-out-of-order": (_set(("edges", 2, "id"), 5), "edge ids must be 0..p in order, got 5 at 2"),
+    "first-breakpoint": (
+        _set(("edges", 1, "sigma", "breakpoints"), ["1/4", "1/2", "1"]),
+        "first breakpoint must be 0, got 1/4",
+    ),
+    "nan-sigma": (_set(("edges", 1, "sigma", "values"), [0.0, float("nan")]), "non-finite sigma values"),
+    "count-mismatch": (
+        _set(("edges", 1, "sigma", "values"), [0.0]),
+        "need M+1 breakpoints and M values, got 3 and 1",
+    ),
+    "true-length": (_set(("edges", 2, "length"), True), "not an exact rational: True"),
+}
+
+
+@pytest.mark.parametrize("change, message", CONFIG_REFUSALS.values(), ids=CONFIG_REFUSALS.keys())
+def test_eigs_refuses_a_bad_config(capsys, tmp_path, change, message):
+    blob = json.loads(Path(DELTA).read_text())
+    change(blob)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))  # NaN is written as the literal NaN, which json reads back
+    code, out, err = run(capsys, "eigs", "--config", str(bad), "--rho-max", "5")
+    assert code == 2
+    assert out == "" and err.startswith("config error: ") and message in err
+
+
+def test_charfn_overflowing_grid_exits_3(capsys):
+    # kappa = 1000 on a pi-length lasso: cosh and sinh overflow, and numpy's
+    # overflow and invalid-value warnings are expected along the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "charfn", "--config", DELTA, "--lambda=-1000000:-999999:1")
+    assert code == 3
+    assert out == "" and "characteristic function overflowed on the grid" in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--problem", "Lj", "--rho", "0:1:0.5"), "--problem Lj requires --j"),
+        ((), "exactly one of --rho or --lambda is required"),
+    ],
+    ids=["lj-without-j", "no-grid"],
+)
+def test_charfn_incomplete_request_exits_2(capsys, extra, message):
+    code, out, err = run(capsys, "charfn", "--config", DELTA, *extra)
+    assert code == 2
+    assert out == "" and message in err
 
 
 def test_verify_corrupted_fixture_exits_2(capsys, tmp_path):

@@ -13,12 +13,7 @@ from scipy.linalg.lapack import dgtsv
 from lasso_spectra import checks, oracle
 from lasso_spectra.errors import GridTooCoarse
 from lasso_spectra.graph import Problem, delta_potential, graph_from_json, lasso_graph
-from lasso_spectra.oracle import (
-    DiscreteOperator,
-    discretize,
-    oracle_eigs,
-    richardson_eigs,
-)
+from lasso_spectra.oracle import DiscreteOperator, discretize, richardson_eigs
 from lasso_spectra.spectrum import compute_catalog
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,7 +36,7 @@ def _full(op: DiscreteOperator) -> np.ndarray:
 def test_toy_matrix_eigenvalues():
     # The vertex plus a one-node chain: [[2, -1], [-1, 2]].
     op = DiscreteOperator(np.array([2.0]), np.array([]), np.array([-1.0]), 2.0, (1.0,))
-    assert np.allclose(oracle_eigs(op, 2), [1.0, 3.0])
+    assert np.allclose(oracle._solve(op, 2)[0], [1.0, 3.0])
 
 
 def test_grid_too_coarse(pi_lasso):
@@ -59,7 +54,7 @@ def test_free_low_spectrum_and_h2_convergence(pi_lasso):
     want = np.array(FREE_LOW_SPECTRUM[1:6])  # skip the zero mode for ratios
     errs = []
     for ppu in (60, 120):
-        got = oracle_eigs(discretize(pi_lasso, Problem.neumann(), ppu), 6)[1:6]
+        got = oracle._solve(discretize(pi_lasso, Problem.neumann(), ppu), 6)[0][1:6]
         errs.append(np.abs(got - want))
     ratio = errs[0] / errs[1]
     assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
@@ -74,7 +69,7 @@ def test_constant_zero_mode_for_full_problem(pi_lasso):
     op = discretize(pi_lasso, Problem.neumann(), 60)
     vals, vecs = eigh(_full(op), subset_by_index=(0, 0))
     assert abs(vals[0]) < 1e-10
-    assert abs(oracle_eigs(op, 1)[0]) < 1e-10
+    assert abs(oracle._solve(op, 1)[0][0]) < 1e-10
     # Undo the mass normalization: the zero mode is constant on the graph.
     # Mass weights are sqrt of the lumped masses used in discretize.
     u = vecs[:, 0]
@@ -88,7 +83,7 @@ def test_constant_zero_mode_for_full_problem(pi_lasso):
 
 
 def test_pinned_problem_excludes_constants(pi_lasso):
-    lam0 = oracle_eigs(discretize(pi_lasso, Problem.dirichlet(1), 60), 1)[0]
+    lam0 = oracle._solve(discretize(pi_lasso, Problem.dirichlet(1), 60), 1)[0][0]
     assert lam0 > 0.03  # (1/5)^2 = 0.04 up to O(h^2)
 
 
@@ -118,7 +113,7 @@ def _chain_solve_matches_dense(graph, problem, ppu):
     assert np.array_equal(np.flatnonzero(op.off == 0.0), last[:-1]), problem.label()
     assert np.array_equal(np.flatnonzero(op.b), np.r_[0, last]), problem.label()
     assert np.count_nonzero(op.b) == graph.p + 2, problem.label()
-    got = oracle_eigs(op, 6)
+    got = oracle._solve(op, 6)[0]
     want = eigh(_full(op), subset_by_index=(0, 5), eigvals_only=True)
     rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
     assert np.max(rel) <= 1e-7, problem.label()
@@ -174,9 +169,9 @@ def test_pinning_a_pendant_interlaces(cycle, pool, picks, unit):
     # Pendants drawn from a pool of one or two edges, so equal pendants are common.
     graph = _lasso([cycle] + [pool[i % len(pool)] for i in picks], unit)
     # Lj's matrix is L's without one dof: lambda_k(L) <= lambda_k(Lj) <= lambda_(k+1)(L).
-    full = oracle_eigs(discretize(graph, Problem.neumann(), 50), 7)
+    full = oracle._solve(discretize(graph, Problem.neumann(), 50), 7)[0]
     for j in range(1, graph.p + 1):
-        pinned = oracle_eigs(discretize(graph, Problem.dirichlet(j), 50), 6)
+        pinned = oracle._solve(discretize(graph, Problem.dirichlet(j), 50), 6)[0]
         slack = 1e-12 * np.maximum(1.0, np.abs(pinned))
         assert np.all(full[:6] <= pinned + slack), j
         assert np.all(pinned <= full[1:] + slack), j
@@ -200,7 +195,7 @@ def test_pinning_a_pendant_interlaces(cycle, pool, picks, unit):
 )
 def test_degenerate_brackets_match_dense(graph, want):
     op = discretize(graph, Problem.neumann(), 60)
-    got = oracle_eigs(op, 6)
+    got = oracle._solve(op, 6)[0]
     dense = eigh(_full(op), subset_by_index=(0, 5), eigvals_only=True)
     assert np.max(np.abs(got - dense) / np.maximum(1.0, np.abs(dense))) <= 1e-10
     double = np.flatnonzero(np.abs(got - want) < 1e-3)
@@ -381,8 +376,8 @@ def test_cold_chain_eigenvalues_match_stebz(runs, scale):
 
 
 def _cold_richardson(graph, problem, count, ppu):
-    coarse = oracle_eigs(discretize(graph, problem, ppu), count)
-    fine = oracle_eigs(discretize(graph, problem, ppu, refine=2), count)
+    coarse = oracle._solve(discretize(graph, problem, ppu), count)[0]
+    fine = oracle._solve(discretize(graph, problem, ppu, refine=2), count)[0]
     return (4.0 * fine - coarse) / 3.0
 
 

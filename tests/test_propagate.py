@@ -15,21 +15,29 @@ from lasso_spectra.graph import (
     lasso_graph,
     zero_potential,
 )
-from lasso_spectra.propagate import SERIES_SWITCH, fundamental_solutions, phi_pair
+from lasso_spectra.propagate import SERIES_SWITCH, _phi_pairs, fundamental_solutions
+
+
+def pair_at(lam, h: float):
+    """(phi0, phi1) at the one length h, from propagate._phi_pairs: floats
+    for a scalar lambda, arrays for an array."""
+    lam = np.asarray(lam, dtype=float)
+    ((phi0, phi1),) = _phi_pairs(np.atleast_1d(lam), (h,))
+    return (float(phi0[0]), float(phi1[0])) if lam.ndim == 0 else (phi0, phi1)
 
 
 def test_phi_pair_lambda_zero():
-    assert phi_pair(0.0, 2.5) == (1.0, 2.5)
+    assert pair_at(0.0, 2.5) == (1.0, 2.5)
 
 
 def test_phi_pair_rho_pi():
-    phi0, phi1 = phi_pair(math.pi**2, 1.0)
+    phi0, phi1 = pair_at(math.pi**2, 1.0)
     assert abs(phi0 + 1.0) < 1e-14
     assert abs(phi1) < 1e-14
 
 
 def test_phi_pair_hyperbolic():
-    phi0, phi1 = phi_pair(-1.0, 1.0)
+    phi0, phi1 = pair_at(-1.0, 1.0)
     assert abs(phi0 - math.cosh(1.0)) < 1e-14
     assert abs(phi1 - math.sinh(1.0)) < 1e-14
 
@@ -47,7 +55,7 @@ def test_phi_pair_series_region_against_mpmath(lam):
         ref0, ref1 = mpmath.cosh(rho), mpmath.sinh(rho) / rho
     else:
         ref0, ref1 = mpmath.mpf(1), mpmath.mpf(1)
-    phi0, phi1 = phi_pair(lam, h)
+    phi0, phi1 = pair_at(lam, h)
     assert abs(phi0 - float(ref0)) <= 1e-15
     assert abs(phi1 - float(ref1)) <= 1e-15
 
@@ -55,7 +63,7 @@ def test_phi_pair_series_region_against_mpmath(lam):
 def test_phi_pair_relative_accuracy_large_argument():
     # |lambda| h^2 up to 1e4 on both branches.
     for lam in (1e4, -1e4, 123.456, -321.0):
-        phi0, phi1 = phi_pair(lam, 1.0)
+        phi0, phi1 = pair_at(lam, 1.0)
         mpmath.mp.dps = 40
         r = mpmath.sqrt(abs(mpmath.mpf(lam)))
         if lam > 0:
@@ -68,9 +76,9 @@ def test_phi_pair_relative_accuracy_large_argument():
 
 def test_phi_pair_array_matches_scalar():
     lam = np.array([-4.0, -1e-6, 0.0, 1e-6, 7.0, 300.0])
-    phi0, phi1 = phi_pair(lam, 0.7)
+    phi0, phi1 = pair_at(lam, 0.7)
     for i, x in enumerate(lam):
-        s0, s1 = phi_pair(float(x), 0.7)
+        s0, s1 = pair_at(float(x), 0.7)
         assert phi0[i] == s0 and phi1[i] == s1
 
 
@@ -81,11 +89,11 @@ def test_phi_pair_positive_fast_path_is_bit_identical(h):
     switch = SERIES_SWITCH / (h * h)
     lam = np.r_[np.linspace(-3 * switch, 3 * switch, 101), np.linspace(4 * switch, 60.0, 3 * 4096 + 37)]
     assert lam[4096] * h * h > SERIES_SWITCH
-    whole = phi_pair(lam, h)
+    whole = pair_at(lam, h)
     past = np.flatnonzero(lam * h * h > SERIES_SWITCH)
     blocks = [slice(start, start + 4096) for start in range(0, lam.size, 4096)]
     for part in blocks + [past, past[:37], past[-4097:]]:
-        got = phi_pair(lam[part], h)
+        got = pair_at(lam[part], h)
         assert got[0].tobytes() == whole[0][part].tobytes()
         assert got[1].tobytes() == whole[1][part].tobytes()
 
@@ -100,11 +108,11 @@ def test_phi_pair_negative_fast_path_is_bit_identical(h):
     lam = np.r_[np.linspace(deep, -4 * switch, 3 * 4096 + 37), np.linspace(-3 * switch, 3 * switch, 101)]
     assert lam[3 * 4096 - 1] * h * h < -SERIES_SWITCH
     with np.errstate(all="raise"):
-        whole = phi_pair(lam, h)
+        whole = pair_at(lam, h)
         past = np.flatnonzero(lam * h * h < -SERIES_SWITCH)
         blocks = [slice(start, start + 4096) for start in range(0, lam.size, 4096)]
         for part in blocks + [past, past[:37], past[-4097:]]:
-            got = phi_pair(lam[part], h)
+            got = pair_at(lam[part], h)
             assert got[0].tobytes() == whole[0][part].tobytes()
             assert got[1].tobytes() == whole[1][part].tobytes()
     assert np.isinf(whole[0][0]) and np.isinf(whole[1][0])
@@ -210,8 +218,7 @@ COMPILED_LAMBDAS = [-7.5, -SERIES_SWITCH / 40, 0.0, SERIES_SWITCH / 40, 42.0]
 
 @pytest.mark.parametrize("lam", COMPILED_LAMBDAS + [np.array(COMPILED_LAMBDAS)])
 def test_compiled_segments_match_step_product(lam):
-    # The whole propagator and each column alone equal the step product bit
-    # for bit. Segment lengths repeat within an edge (pi/4 on pendant 1) and across
+    # The whole propagator equals the step product bit for bit. Segment lengths repeat within an edge (pi/4 on pendant 1) and across
     # edges (pi/2 on the cycle and on both pendants).
     graph = lasso_graph(
         1,
@@ -234,11 +241,5 @@ def test_compiled_segments_match_step_product(lam):
         for step in steps[1:]:
             want = step @ want
         got = fundamental_solutions(segs, lam)
-        c_col = fundamental_solutions(segs, lam, "C")
-        s_col = fundamental_solutions(segs, lam, "S")
-        assert c_col.S is c_col.S1 is s_col.C is s_col.C1 is None
-        for x, y in (
-            (got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d),
-            (c_col.C, want.a), (c_col.C1, want.c), (s_col.S, want.b), (s_col.S1, want.d),
-        ):
+        for x, y in ((got.C, want.a), (got.C1, want.c), (got.S, want.b), (got.S1, want.d)):
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from propagate_reference import StateMatrix
 from lasso_spectra import checks, reconstruct
 from lasso_spectra.charfn import assemble, charfn_for
 from lasso_spectra.errors import DegenerateLeadingTerm, InsufficientCatalog, NearPole
-from lasso_spectra.graph import Problem
+from lasso_spectra.graph import Problem, lasso_graph
 from lasso_spectra.propagate import FundamentalSolution
 from lasso_spectra.reconstruct import (
     compare,
@@ -44,12 +45,16 @@ def test_leading_constant_mu0_zero(pi_lasso):
 def test_leading_constant_degenerate_guard():
     # cos(rho) + cos(2 rho) scaled so the first lambda-derivatives cancel:
     # mu0 = 1 then contradicts the vanishing derivative and must be reported.
+    # leading_constant reads the poly alone; the zero-potential problem is
+    # any lasso's.
     degenerate = AsymptoticFrame(
         tau=2 * math.pi,
         poly=TrigPoly("cos", (Fraction(1), Fraction(2)), (4.0, -1.0)),
         mu0=1,
         interior=(),
         half_mult=0,
+        free_graph=lasso_graph(1, [1]),
+        problem=Problem.neumann(),
     )
     with pytest.raises(DegenerateLeadingTerm):
         leading_constant(degenerate)
@@ -198,11 +203,14 @@ def _mp_charfn(graph, problem, lam):
 
 
 def test_ratio_stays_finite_at_deep_negative_lambda(delta_catalog_deep, delta_lasso):
-    # d0 overflows at -1e4 on the pi-length graph; the ratio does not. Against
+    # d0 overflows at -1e4 on the pi-length graph; the ratio does not, and
+    # the overflow is expected, so no RuntimeWarning is emitted. Against
     # charfn/d0 at 40 digits the tail-corrected product is off by ~1.5e-9; the
     # bare truncated product, by ~4e-4.
     lams = np.array([-1e2, -4e2, -2.5e3, -1e4])
-    ratio = hadamard_reconstruct(delta_catalog_deep, lams, 100).ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ratio = hadamard_reconstruct(delta_catalog_deep, lams, 100).ratio
     assert np.all(np.isfinite(ratio))
     free = delta_lasso.with_zero_potential()
     for lam, got in zip(lams, ratio):
