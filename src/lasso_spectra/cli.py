@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 config/input error,
 3 numeric failure, 4 catalog assignment/coverage failure.
+
+Each command imports the modules it uses when it runs, so `charfn` loads
+neither the root scan nor the frame, the reconstruction or the oracle.
 """
 
 from __future__ import annotations
@@ -16,12 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, errors
+from . import errors
 from .charfn import charfn_for
 from .graph import Problem, graph_from_json, validate
-from .reconstruct import compare, hadamard_reconstruct, result_to_csv
-from .spectrum import SpectrumCatalog, catalog_to_csv, compute_catalog, entries_from_csv
-from .trigpoly import build_frame, frame_to_json
 
 CONFIG_ERRORS = (
     errors.IrrationalLength,
@@ -130,14 +130,17 @@ def cmd_charfn(args) -> int:
     problem = _problem_from_args(args, graph)
     if (args.rho is None) == (args.lam is None):
         raise ValueError("exactly one of --rho or --lambda is required")
-    if args.rho is not None:
-        grid = args.rho
-        values = charfn_for(graph, problem, grid * grid)
-        label = "rho"
-    else:
-        grid = args.lam
-        values = charfn_for(graph, problem, grid)
-        label = "lambda"
+    # Far below zero cosh and sinh overflow, and inf - inf is nan: the check
+    # below reports either as a numeric failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.rho is not None:
+            grid = args.rho
+            values = charfn_for(graph, problem, grid * grid)
+            label = "rho"
+        else:
+            grid = args.lam
+            values = charfn_for(graph, problem, grid)
+            label = "lambda"
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("characteristic function overflowed on the grid")
     if args.format == "json":
@@ -149,6 +152,11 @@ def cmd_charfn(args) -> int:
 
 
 def cmd_eigs(args) -> int:
+    # build_frame is taken from spectrum, the binding perfbench/tracing.py
+    # wraps; cmd_reconstruct and cmd_verify do the same.
+    from .spectrum import build_frame, catalog_to_csv, compute_catalog
+    from .trigpoly import frame_to_json
+
     graph, _ = graph_from_json(args.config)
     problem = _problem_from_args(args, graph)
     if args.rho_max <= 0:
@@ -167,6 +175,9 @@ def cmd_eigs(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .reconstruct import compare, hadamard_reconstruct, result_to_csv
+    from .spectrum import SpectrumCatalog, build_frame, entries_from_csv
+
     graph, potentials_known = graph_from_json(args.config)
     problem = _problem_from_args(args, graph)
     try:
@@ -194,6 +205,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+    from .spectrum import build_frame
+
     graph, potentials_known = graph_from_json(args.config)
     validate(graph)
     tau = build_frame(graph, Problem.neumann()).tau

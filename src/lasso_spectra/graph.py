@@ -167,12 +167,6 @@ class ValidatedGraph:
     def max_abs_sigma(self) -> float:
         return max(abs(v) for e in self.edges for v in e.potential.values)
 
-    def with_zero_potential(self) -> "ValidatedGraph":
-        edges = tuple(
-            EdgeSpec(e.id, e.length, e.role, zero_potential(e.length)) for e in self.edges
-        )
-        return ValidatedGraph(edges, self.length_unit)
-
 
 def validate(spec) -> ValidatedGraph:
     """Validate a GraphSpec (idempotent on an already-validated graph)."""

@@ -26,6 +26,9 @@ rho0_nk = |tau n + alpha_k|, n over Z (two-sided) or from a first index on:
 
 The frame keeps the zero-potential problem it expands; its d_0 in lambda
 (eval_lambda) is `charfn.charfn_for` on that problem, through the compiled plan.
+It reads nothing of the potential, so build_frame builds it once per geometry
+(length unit and edge lengths) and problem, and every graph of that geometry
+shares it, with its free graph and that graph's plan.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -42,7 +45,7 @@ import numpy as np
 from ._rootscan import _roots_in
 from .charfn import assemble, charfn_for
 from .errors import ConstantFunction, HalfPeriodZeroWarning
-from .graph import Problem, ValidatedGraph, validate
+from .graph import Problem, ValidatedGraph, lasso_graph, validate
 from .propagate import FundamentalSolution
 
 
@@ -393,7 +396,8 @@ def base_zeros(
     of P or Q, a root of multiplicity m at x = 1 or -1 is a zero of order 2m
     (+1 for sinc) at 0 or tau/2, and every other root an interior zero. These
     are the 2K zeros of a period, K = max frequency / g, all real (the free
-    operator is self-adjoint). A tau/2 zero of d_0 of L is warned and folded.
+    operator is self-adjoint). A tau/2 zero of d_0 of L is folded; build_frame
+    warns of it.
     """
     g, half, sinc = poly.freq_gcd(), tau / 2.0, poly.kind == "sin"
     common = math.lcm(*(Fraction(c).denominator for c in poly.coefs))
@@ -415,21 +419,43 @@ def base_zeros(
         tau, poly, ends[1], tuple(sorted(interior)), 2 * ends[-1] + sinc, free_graph, problem
     )
     assert ends[1] + ends[-1] + sinc + sum(m for _, m in interior) == max(terms), "2K zeros"
+    return frame
+
+
+# Distinct (geometry, problem) pairs whose frames stay built: more than one
+# process works on, at a few kilobytes per frame on the shipped configs
+# (about 120 KB for lengths 5/7, 5/3, 7/12).
+FRAME_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _geometry_frame(length_unit: str, lengths: tuple[Fraction, ...], problem: Problem):
+    """The frame of problem on the zero-potential lasso with these lengths,
+    edge 0 the cycle."""
+    free_graph = lasso_graph(lengths[0], lengths[1:], length_unit=length_unit)
+    poly = expand_free_charfn(free_graph, problem)
+    return base_zeros(poly, smallest_period(poly), free_graph, problem)
+
+
+def build_frame(graph: ValidatedGraph, problem: Problem) -> AsymptoticFrame:
+    """Frame of the zero-potential problem with the same geometry, which it keeps.
+
+    The frame reads only the geometry (length unit and edge lengths; edge 0
+    is the cycle) and the problem, so it is built once per such pair and
+    shared, with its free graph and that graph's compiled plan, by every
+    graph of that geometry whatever its potential. A tau/2 zero of d_0 of L
+    is warned on every call, the first or not.
+    """
+    graph = validate(graph)
+    frame = _geometry_frame(graph.length_unit, tuple(e.length for e in graph.edges), problem)
     if frame.half_period_zero:
         warnings.warn(
-            f"tau/2 = {half} is a zero of the reference function; "
+            f"tau/2 = {frame.tau / 2.0} is a zero of the reference function; "
             "its family is folded to one-sided numbering",
             HalfPeriodZeroWarning,
             stacklevel=2,
         )
     return frame
-
-
-def build_frame(graph: ValidatedGraph, problem: Problem) -> AsymptoticFrame:
-    """Frame of the zero-potential problem with the same geometry, which it keeps."""
-    free_graph = validate(graph).with_zero_potential()
-    poly = expand_free_charfn(free_graph, problem)
-    return base_zeros(poly, smallest_period(poly), free_graph, problem)
 
 
 def frame_to_json(frame: AsymptoticFrame) -> dict:

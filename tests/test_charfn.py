@@ -117,7 +117,7 @@ def test_ratio_to_free_tends_to_one(lam, tol):
     g = lasso_graph(
         1, [1, 1], potentials=[None, delta_potential(1, "1/2", 0.25), None]
     )
-    free_twin = g.with_zero_potential()
+    free_twin = lasso_graph(1, [1, 1])
     ratio = charfn_for(g, Problem.neumann(), lam) / charfn_for(
         free_twin, Problem.neumann(), lam
     )

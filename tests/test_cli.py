@@ -400,13 +400,25 @@ def test_eigs_refuses_a_bad_config(capsys, tmp_path, change, message):
 
 
 def test_charfn_overflowing_grid_exits_3(capsys):
-    # kappa = 1000 on a pi-length lasso: cosh and sinh overflow, and numpy's
-    # overflow and invalid-value warnings are expected along the way.
+    # kappa = 1000 on a pi-length lasso: cosh and sinh overflow, which is
+    # reported as a numeric failure, with no RuntimeWarning.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, "charfn", "--config", DELTA, "--lambda=-1000000:-999999:1")
     assert code == 3
     assert out == "" and "characteristic function overflowed on the grid" in err
+
+
+def test_charfn_overflowing_grid_exits_3_with_runtime_warnings_as_errors():
+    # The overflow and the nan it leads to are the numeric failure exit 3
+    # reports, not a traceback.
+    proc = _python(
+        "-W", "error::RuntimeWarning", "-m", "lasso_spectra.cli",
+        "charfn", "--config", DELTA, "--lambda=-1000000:-999999:1",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "numeric error: characteristic function overflowed on the grid\n"
 
 
 @pytest.mark.parametrize(
@@ -432,23 +444,24 @@ def test_verify_corrupted_fixture_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
+def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
 
 
-def _cli_in_fresh_process(tmp_path, *argv):
-    """Run the CLI on argv in a new interpreter: its exit code and the scipy
-    modules loaded by the end of the run."""
+def _cli_in_fresh_process(tmp_path, *argv, package="scipy"):
+    """Run the CLI on argv in a new interpreter: its exit code and the
+    modules of package (scipy by default) loaded by the end of the run."""
     report = tmp_path / "modules.json"
     proc = _python(
+        "-c",
         "import json, sys\n"
         "from lasso_spectra.cli import main\n"
         f"code = main({list(argv)!r})\n"
-        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        f"loaded = [m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]\n"
         f"open({str(report)!r}, 'w').write(json.dumps([code, loaded]))\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -480,6 +493,47 @@ def test_charfn_loads_no_scipy(tmp_path):
     assert len(Path(rec + ".csv").read_text().splitlines()) > 100
 
 
+def test_charfn_loads_only_what_it_evaluates(tmp_path):
+    code, loaded = _cli_in_fresh_process(
+        tmp_path, "charfn", "--config", DELTA, "--rho=0:5:0.01", "--out", str(tmp_path / "c.csv"),
+        package="lasso_spectra",
+    )
+    assert code == 0 and "lasso_spectra.charfn" in loaded
+    for unused in ("oracle", "spectrum", "trigpoly", "reconstruct", "checks", "_rootscan"):
+        assert f"lasso_spectra.{unused}" not in loaded
+
+
+# Every name the package exported when its __init__ imported every module.
+PUBLIC_NAMES = (
+    "charfn_for weyl EdgeSpec GraphSpec PotentialSpec Problem ValidatedGraph delta_potential "
+    "graph_from_json graph_to_json lasso_graph parse_rational validate zero_potential "
+    "DiscreteOperator discretize richardson_eigs FundamentalSolution fundamental_solutions "
+    "ReconstructionResult compare hadamard_reconstruct CatalogEntry SpectrumCatalog "
+    "catalog_spectrum catalog_to_csv compute_catalog entries_from_csv epsilon_diagnostics "
+    "find_eigenvalues negative_eigenvalues AsymptoticFrame TrigPoly base_zeros build_frame "
+    "expand_free_charfn frame_to_json smallest_period __version__"
+).split()
+
+
+def test_package_names_load_on_first_use():
+    proc = _python(
+        "-c",
+        "import lasso_spectra\n"
+        f"from lasso_spectra import {', '.join(PUBLIC_NAMES)}\n"
+        "from lasso_spectra import graph, oracle, reconstruct, spectrum\n"
+        "assert lasso_spectra.compute_catalog is spectrum.compute_catalog\n"
+        "assert lasso_spectra.Problem is graph.Problem\n"
+        "assert set(lasso_spectra.__all__) < set(dir(lasso_spectra))\n"
+        "try:\n"
+        "    from lasso_spectra import no_such_name\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('no_such_name imported')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_eigs_window_violation_warns(capsys, tmp_path):
     blob = json.loads(Path(DELTA).read_text())
     blob["edges"][1]["sigma"]["values"] = [0.0, 2.0]
@@ -508,6 +562,7 @@ def test_oracle_and_verify_run_on_numpy_alone(tmp_path):
     # and `verify` run and pass.
     report = tmp_path / "verify.json"
     proc = _python(
+        "-c",
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from lasso_spectra.cli import main\n"

@@ -202,7 +202,7 @@ def _mp_charfn(graph, problem, lam):
         return assemble(fs, problem.j)
 
 
-def test_ratio_stays_finite_at_deep_negative_lambda(delta_catalog_deep, delta_lasso):
+def test_ratio_stays_finite_at_deep_negative_lambda(delta_catalog_deep, delta_lasso, pi_lasso):
     # d0 overflows at -1e4 on the pi-length graph; the ratio does not, and
     # the overflow is expected, so no RuntimeWarning is emitted. Against
     # charfn/d0 at 40 digits the tail-corrected product is off by ~1.5e-9; the
@@ -212,10 +212,9 @@ def test_ratio_stays_finite_at_deep_negative_lambda(delta_catalog_deep, delta_la
         warnings.simplefilter("error", RuntimeWarning)
         ratio = hadamard_reconstruct(delta_catalog_deep, lams, 100).ratio
     assert np.all(np.isfinite(ratio))
-    free = delta_lasso.with_zero_potential()
     for lam, got in zip(lams, ratio):
         with mpmath.workdps(40):
             want = _mp_charfn(delta_lasso, Problem.neumann(), lam) / _mp_charfn(
-                free, Problem.neumann(), lam
+                pi_lasso, Problem.neumann(), lam
             )
             assert abs(got / want - 1) <= 1e-6

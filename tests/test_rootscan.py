@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
-from lasso_spectra import _rootscan
+from lasso_spectra import _rootscan, trigpoly
 from lasso_spectra._rootscan import XTOL, scan_roots
 from lasso_spectra.graph import Problem, graph_from_json
 from lasso_spectra.spectrum import compute_catalog
@@ -232,12 +232,14 @@ def test_float_steps_match_scipy(bounds, w0, quotient):
 @pytest.mark.parametrize("config", CONFIGS + ["attractive_p3"], ids=lambda c: getattr(c, "stem", c))
 def test_catalogs_do_not_depend_on_the_float_steps(config, attractive_p3):
     # L and every Lj at the catalog benchmark's rho_max, where the main
-    # refinement starts with hundreds of brackets and hands over to float
-    # steps; the attractive p = 3 lasso's negative sweep and dips too.
+    # refinement starts with hundreds of brackets and may hand over to float
+    # steps; the attractive p = 3 lasso's negative sweep and dips too. Each
+    # pass builds its own frame, whose base zeros are refined on float steps.
     graph = attractive_p3 if config == "attractive_p3" else graph_from_json(config)[0]
     for problem in [Problem.neumann()] + [Problem.dirichlet(j) for j in range(1, graph.p + 1)]:
         catalogs = []
         for n in (0, _rootscan._FLOAT_BRACKETS):
+            trigpoly._geometry_frame.cache_clear()
             with mock.patch.object(_rootscan, "_FLOAT_BRACKETS", n), mock.patch.object(
                 _rootscan, "_float_steps", wraps=_rootscan._float_steps
             ) as floats:

@@ -1,6 +1,8 @@
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,10 +11,11 @@ from free_reference import free_charfn, free_charfn_dirichlet
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lasso_spectra import cli, trigpoly
 from lasso_spectra.charfn import charfn_for
 from lasso_spectra.checks import ORACLE_COUNT, ORACLE_TOL
 from lasso_spectra.errors import ConstantFunction, HalfPeriodZeroWarning
-from lasso_spectra.graph import Problem, lasso_graph
+from lasso_spectra.graph import Problem, delta_potential, graph_from_json, lasso_graph
 from lasso_spectra.oracle import richardson_eigs
 from lasso_spectra.trigpoly import (
     TrigPoly,
@@ -152,6 +155,8 @@ def test_half_period_zero_warned_and_folded():
     g = lasso_graph(2, [1], length_unit="pi")  # d0 = 6 sin^2(pi rho) cos(pi rho)
     with pytest.warns(HalfPeriodZeroWarning):
         frame = build_frame(g, Problem.neumann())
+    with pytest.warns(HalfPeriodZeroWarning):  # again when the frame is cached
+        assert build_frame(g, Problem.neumann()) is frame
     assert frame.half_period_zero
     assert frame.half_mult == 2
     # Folded families enumerate tau n + tau/2 once each.
@@ -161,6 +166,54 @@ def test_half_period_zero_warned_and_folded():
     slots = frame.slots(4.0)
     assert len(slots) == 13
     assert sum(1 for _, _, r in slots if abs(r - 1.0) < 1e-12) == 2
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def _problems(graph):
+    return [Problem.neumann()] + [Problem.dirichlet(j) for j in range(1, graph.p + 1)]
+
+
+def test_frame_is_shared_by_geometry_and_problem():
+    # The potential plays no part in the frame: equal lengths share one,
+    # with its free graph, whatever sigma is.
+    free = lasso_graph(1, [1, 1], length_unit="pi")
+    delta = lasso_graph(
+        1, [1, 1], potentials=[None, delta_potential(1, "1/2", 0.5), None], length_unit="pi"
+    )
+    frames = [build_frame(free, problem) for problem in _problems(free)]
+    assert all(build_frame(delta, p) is f for p, f in zip(_problems(delta), frames))
+    assert all(f.free_graph == free for f in frames)
+    # L and each Lj are different problems, with frames of their own.
+    assert len({id(f) for f in frames}) == len(frames)
+    # The cycle is edge 0: swapping the cycle and the pendant is another geometry.
+    swapped = [build_frame(g, Problem.neumann()) for g in (lasso_graph(1, ["1/3"]), lasso_graph("1/3", [1]))]
+    assert swapped[0].tau == swapped[1].tau and swapped[0].interior != swapped[1].interior
+
+
+def test_verify_builds_one_frame(capsys):
+    # cmd_verify, checks.verify and compute_catalog each ask for L's frame.
+    trigpoly._geometry_frame.cache_clear()
+    with mock.patch.object(trigpoly, "base_zeros", wraps=trigpoly.base_zeros) as base_zeros:
+        code = cli.main(["verify", "--config", str(CONFIGS[0]), "--rho-max", "20"])
+    capsys.readouterr()
+    assert CONFIGS[0].name == "lasso_delta.json"
+    assert code == 0 and base_zeros.call_count == 1
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_cached_frame_equals_a_fresh_one(config):
+    graph = graph_from_json(config)[0]
+    for problem in _problems(graph):
+        cached = build_frame(graph, problem)
+        assert build_frame(graph, problem) is cached
+        trigpoly._geometry_frame.cache_clear()
+        fresh = build_frame(graph, problem)
+        assert fresh is not cached
+        for name in ("tau", "poly", "mu0", "interior", "half_mult", "families"):
+            assert getattr(cached, name) == getattr(fresh, name), name
+        assert cached.window() == fresh.window()
 
 
 def test_dirichlet_frame_structure(pi_lasso):
