@@ -11,6 +11,10 @@ There is one refiner, a numpy port of Chandrupatla's bracketing root finder
 with the same results; the scan loads numpy only. It refines sign changes of
 fn, and it finds the lowest point of a dip of |fn| as the sign change of a
 difference quotient, which decides between a root pair, a touch and no root.
+That decision is by sign: where fn at the lowest point has crossed zero by
+more than rounding (SPLIT_FACTOR of the scan scale), fn changes sign twice
+and the dip is a root pair however shallow it is; only a dip that ends
+within rounding below zero, or at most TOUCH_FACTOR above it, is a touch.
 Its steps run on arrays while many brackets are in progress and on Python
 floats, one bracket at a time, once few are left (_FLOAT_BRACKETS), where
 numpy's per-call cost would outweigh the work; both give the same bits.
@@ -22,10 +26,13 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-# A local minimum of |f| below DIP_FACTOR * scale triggers refinement; the
-# refined minimum counts as a double root if within TOUCH_FACTOR * scale of 0.
+# A local minimum of |f| below DIP_FACTOR * scale triggers refinement. The
+# refined minimum, signed toward the dip's side, is a root pair at or below
+# -SPLIT_FACTOR * scale (f changes sign twice), and a double root between
+# that and TOUCH_FACTOR * scale.
 DIP_FACTOR = 1e-6
 TOUCH_FACTOR = 1e-9
+SPLIT_FACTOR = 1e-14
 XTOL = 1e-12
 # Roots closer than MERGE_FACTOR * max(1, span) are one root.
 MERGE_FACTOR = 1e-9
@@ -248,8 +255,9 @@ def scan_roots(fn, lo: float, hi: float, n_points: int):
     """All roots of fn on [lo, hi] with multiplicity 1 (crossing) or 2 (touch).
 
     fn must accept ndarrays. Roots closer than MERGE_FACTOR of the span are
-    merged. Assumes at most two roots per scan cell (the cell size is the
-    caller's resolution contract).
+    merged, a split pair too: it then counts as one simple root, which the
+    caller's count check reports. Assumes at most two roots per scan cell
+    (the cell size is the caller's resolution contract).
     """
     xs = np.linspace(lo, hi, n_points + 1)
     ys = np.asarray(fn(xs), dtype=float)
@@ -271,12 +279,14 @@ def scan_roots(fn, lo: float, hi: float, n_points: int):
     a, b, sgn = centers - 1, centers + 1, sign[centers]
     xm = _argmins(fn, xs[a], xs[b], sgn)
     a, b, sgn, xm = (v[np.isfinite(xm)] for v in (a, b, sgn, xm))
-    # sgn * fn at the argmin decides: below -TOUCH_FACTOR * scale, a root on
-    # either side of it; within TOUCH_FACTOR * scale of 0, a touch at it;
-    # otherwise no root.
+    # sgn * fn at the argmin decides: at or below -SPLIT_FACTOR * scale, a
+    # root on either side of it; above that and up to TOUCH_FACTOR * scale, a
+    # touch at it; otherwise no root. The bounds differ: an argmin off a true
+    # touch reads f above 0 (by the quotient's bias), and below 0 only by
+    # rounding.
     gm = sgn * np.asarray(fn(xm), dtype=float) if xm.size else xm
-    split = gm <= -TOUCH_FACTOR * scale
-    touches = xm[np.abs(gm) <= TOUCH_FACTOR * scale]
+    split = gm <= -SPLIT_FACTOR * scale
+    touches = xm[~split & (gm <= TOUCH_FACTOR * scale)]
 
     # Sign changes between nonzero neighbours, and the split dips' pairs,
     # refined in one pass from the end values at hand (fn(xm) = sgn * gm).

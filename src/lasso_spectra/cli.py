@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 verification failure, 2 config/input error,
 
 Each command imports the modules it uses when it runs, so `charfn` loads
 neither the root scan nor the frame, the reconstruction or the oracle.
+
+CSV rows of floats are written in shortest round-trip form (`repr`). Most of
+a large grid's run is that formatting, so float_csv splits a grid of at least
+2 * MIN_ROWS_PER_PART rows into contiguous parts, up to one per usable CPU,
+and formats all but the first in forked children. The parent joins the parts
+in order and formats any part a child failed to deliver itself: the bytes are
+those of a one-CPU run.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -105,23 +113,110 @@ def _problem_from_args(args, graph) -> Problem:
     return problem
 
 
-def _write(text: str, out: str | None):
+# The fewest rows worth a forked part. A fork costs 1.2-1.5 ms and its child
+# starts 2-3 ms after it; 10,000 rows take about 12 ms to format. On 2 cores,
+# 2 parts lost 1.5 ms at 10,000 rows and saved 3.4 ms at 14,000 and 6.4 ms
+# at 20,000 (medians of 41).
+MIN_ROWS_PER_PART = 10_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _format_rows(columns: list[list[float]], start: int, stop: int) -> bytes:
+    """Rows start:stop of the columns, each float in shortest round-trip form."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    return "".join([row % values for values in zip(*(c[start:stop] for c in columns))]).encode()
+
+
+def _fork_part(columns, start: int, stop: int):
+    """A child formatting rows start:stop into a pipe: (pid, read end), or
+    None if it could not be started."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy's BLAS threads make Python 3.12+ warn that the child may
+            # deadlock. The child touches only lists and str, and it leaves
+            # through os._exit.
+            warnings.filterwarnings(
+                "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            data = _format_rows(columns, start, stop)
+            with open(write_end, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little") + data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _collect(pid: int, read_end: int) -> bytes | None:
+    """A child's rows, or None if it failed or delivered short data."""
+    with open(read_end, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    size = int.from_bytes(data[:8], "little")
+    if os.waitstatus_to_exitcode(status) != 0 or len(data) != 8 + size:
+        return None
+    return data[8:]
+
+
+def float_csv(header: str, *columns) -> bytes:
+    """The header and one row per index of the float columns, each value in
+    shortest round-trip form (repr). Up to one part of the rows per usable
+    CPU is formatted in a forked child, and the bytes do not depend on the
+    part count."""
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    rows = len(columns[0])
+    parts = max(1, min(_usable_cpus(), rows // MIN_ROWS_PER_PART))
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    children = [_fork_part(columns, bounds[i], bounds[i + 1]) for i in range(1, parts)]
+    try:
+        first = _format_rows(columns, 0, bounds[1])
+    finally:
+        delivered = [_collect(*child) if child else None for child in children]
+    rest = [
+        data if data is not None else _format_rows(columns, start, stop)
+        for data, start, stop in zip(delivered, bounds[1:], bounds[2:])
+    ]
+    return b"".join([(header + "\n").encode(), first, *rest])
+
+
+def _write(data: bytes, out: str | None):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
-def _write_pair(csv_text: str, blob: dict, out: str | None, json_suffix: str):
+def _write_pair(csv: bytes, blob: dict, out: str | None, json_suffix: str):
     """With --out: out.csv, out + json_suffix and the JSON on stdout.
     Without: the CSV on stdout and the JSON on stderr."""
     json_text = json.dumps(blob, indent=2) + "\n"
     if out:
-        Path(out + ".csv").write_text(csv_text)
+        Path(out + ".csv").write_bytes(csv)
         Path(out + json_suffix).write_text(json_text)
         sys.stdout.write(json_text)
     else:
-        sys.stdout.write(csv_text)
+        _write(csv, None)
         sys.stderr.write(json_text)
 
 
@@ -144,10 +239,9 @@ def cmd_charfn(args) -> int:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("characteristic function overflowed on the grid")
     if args.format == "json":
-        _write(json.dumps({label: grid.tolist(), "delta": values.tolist()}) + "\n", args.out)
+        _write((json.dumps({label: grid.tolist(), "delta": values.tolist()}) + "\n").encode(), args.out)
     else:
-        lines = [f"{label},delta"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(grid, values)]
-        _write("\n".join(lines) + "\n", args.out)
+        _write(float_csv(f"{label},delta", grid, values), args.out)
     return 0
 
 
@@ -170,12 +264,12 @@ def cmd_eigs(args) -> int:
                 errors.WindowViolationWarning,
             )
         catalog_csv, frame = catalog_to_csv(catalog), catalog.frame
-    _write_pair(catalog_csv, frame_to_json(frame), args.out, ".frame.json")
+    _write_pair(catalog_csv.encode(), frame_to_json(frame), args.out, ".frame.json")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    from .reconstruct import compare, hadamard_reconstruct, result_to_csv
+    from .reconstruct import compare, hadamard_reconstruct
     from .spectrum import SpectrumCatalog, build_frame, entries_from_csv
 
     graph, potentials_known = graph_from_json(args.config)
@@ -192,15 +286,16 @@ def cmd_reconstruct(args) -> int:
 
     if potentials_known:
         report = compare(result, lambda lam: charfn_for(graph, problem, lam))
-        csv_text, max_error = report.to_csv(), report.max_rel
+        header, columns = "lambda,delta_hat,delta_direct,rel_error", (report.direct, report.rel_error)
+        max_error = report.max_rel
     else:
-        csv_text, max_error = result_to_csv(result), None
+        header, columns, max_error = "lambda,delta_hat", (), None
     summary = {
         "n_max": result.n_max,
         "leading_const": result.leading_const,
         "max_error": max_error,
     }
-    _write_pair(csv_text, summary, args.out, ".summary.json")
+    _write_pair(float_csv(header, result.grid, result.values, *columns), summary, args.out, ".summary.json")
     return 0
 
 

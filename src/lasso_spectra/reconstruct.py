@@ -183,12 +183,6 @@ class ErrorReport:
     rel_error: np.ndarray  # NaN at flagged/skipped points
     max_rel: float
 
-    def to_csv(self) -> str:
-        lines = ["lambda,delta_hat,delta_direct,rel_error"]
-        for lam, rec, dr, err in zip(self.grid, self.recovered, self.direct, self.rel_error):
-            lines.append(f"{float(lam)!r},{float(rec)!r},{float(dr)!r},{float(err)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def compare(result: ReconstructionResult, direct) -> ErrorReport:
     """Per-point relative error of the reconstruction against a direct evaluation."""
@@ -201,11 +195,3 @@ def compare(result: ReconstructionResult, direct) -> ErrorReport:
     finite = rel[np.isfinite(rel)]
     max_rel = float(np.max(finite)) if finite.size else float("nan")
     return ErrorReport(result.grid, result.values, direct_vals, rel, max_rel)
-
-
-def result_to_csv(result: ReconstructionResult) -> str:
-    """Recovered values alone; ErrorReport.to_csv adds the direct values and errors."""
-    lines = ["lambda,delta_hat"]
-    for lam, rec in zip(result.grid, result.values):
-        lines.append(f"{float(lam)!r},{float(rec)!r}")
-    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lasso_spectra import checks, cli
+from lasso_spectra.charfn import charfn_for
 from lasso_spectra.cli import main, parse_grid
 from lasso_spectra.errors import WindowViolationWarning
 from lasso_spectra.graph import Problem, delta_potential, graph_from_json, graph_to_json, lasso_graph
@@ -452,16 +453,16 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _cli_in_fresh_process(tmp_path, *argv, package="scipy"):
+def _cli_in_fresh_process(tmp_path, *argv, packages=("scipy",)):
     """Run the CLI on argv in a new interpreter: its exit code and the
-    modules of package (scipy by default) loaded by the end of the run."""
+    modules of packages (scipy by default) loaded by the end of the run."""
     report = tmp_path / "modules.json"
     proc = _python(
         "-c",
         "import json, sys\n"
         "from lasso_spectra.cli import main\n"
         f"code = main({list(argv)!r})\n"
-        f"loaded = [m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]\n"
+        f"loaded = [m for m in sys.modules if m.split('.')[0] in {list(packages)!r}]\n"
         f"open({str(report)!r}, 'w').write(json.dumps([code, loaded]))\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -494,13 +495,16 @@ def test_charfn_loads_no_scipy(tmp_path):
 
 
 def test_charfn_loads_only_what_it_evaluates(tmp_path):
+    # A grid of 3 * MIN_ROWS_PER_PART rows: formatted in parts where the
+    # machine has more than one CPU, with no process pool.
     code, loaded = _cli_in_fresh_process(
-        tmp_path, "charfn", "--config", DELTA, "--rho=0:5:0.01", "--out", str(tmp_path / "c.csv"),
-        package="lasso_spectra",
+        tmp_path, "charfn", "--config", DELTA, "--rho=0:30:0.001", "--out", str(tmp_path / "c.csv"),
+        packages=("lasso_spectra", "multiprocessing", "concurrent"),
     )
     assert code == 0 and "lasso_spectra.charfn" in loaded
     for unused in ("oracle", "spectrum", "trigpoly", "reconstruct", "checks", "_rootscan"):
         assert f"lasso_spectra.{unused}" not in loaded
+    assert not [m for m in loaded if not m.startswith("lasso_spectra")], loaded
 
 
 # Every name the package exported when its __init__ imported every module.
@@ -574,3 +578,180 @@ def test_oracle_and_verify_run_on_numpy_alone(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["all_passed"]
+
+
+# Values whose repr the CSV must keep: non-finite, signed zero, subnormal,
+# the largest float, and the switch points of repr's exponent notation.
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-5,
+    1.7976931348623157e308, 0.1, -2.5e-7, 123456789.123,
+]
+
+
+def _row_loop_csv(header, *columns):
+    """The reference CSV: the header, then one f-string row of reprs per index."""
+    lines = [header] + [",".join(f"{float(x)!r}" for x in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _columns(rows, width):
+    """width columns of rows values: SPECIAL_FLOATS in turn, half of them
+    replaced by random floats of any magnitude."""
+    rng = np.random.default_rng(rows)
+    cells = np.resize(np.array(SPECIAL_FLOATS), rows * width)
+    drawn = rng.standard_normal(cells.size) * 10.0 ** rng.integers(-300, 300, cells.size)
+    return np.where(rng.random(cells.size) < 0.5, cells, drawn).reshape(width, rows)
+
+
+def _count_forks(monkeypatch):
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("rows", ["0", "1", "min-1", "min", "2min+1"])
+def test_float_csv_is_the_row_loop_csv(monkeypatch, cpus, rows):
+    # In parts or not, the bytes are those of the per-row f-strings.
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = _count_forks(monkeypatch)
+    n = {"0": 0, "1": 1, "min-1": 39, "min": 40, "2min+1": 81}[rows]
+    for width, header in ((2, "rho,delta"), (4, "lambda,delta_hat,delta_direct,rel_error")):
+        columns = _columns(n, width)
+        assert cli.float_csv(header, *columns) == _row_loop_csv(header, *columns)
+    assert len(forks) == 2 * (max(1, min(cpus, n // 40)) - 1)
+
+
+def _charfn_and_reconstruct(tmp_path, capsys):
+    """charfn (rho and lambda grids) and reconstruct (with and without
+    potentials), each to stdout and with --out: {run: its CSV bytes}."""
+    spectra = str(tmp_path / "spectra")
+    assert main(["eigs", "--config", DELTA, "--rho-max", "20", "--out", spectra]) == 0
+    geometry = json.loads(Path(DELTA).read_text())
+    for edge in geometry["edges"]:
+        del edge["sigma"]
+    bare = tmp_path / "geometry.json"
+    bare.write_text(json.dumps(geometry))
+    runs = {
+        "charfn-rho": ["charfn", "--config", DELTA, "--rho=0:3:0.01"],
+        "charfn-lambda": ["charfn", "--config", DELTA, "--problem", "Lj", "--j", "1", "--lambda=-4:9:0.05"],
+        "reconstruct": ["reconstruct", "--config", DELTA, "--spectra", spectra + ".csv", "--n-max", "5"],
+        "reconstruct-bare": ["reconstruct", "--config", str(bare), "--spectra", spectra + ".csv", "--n-max", "5"],
+    }
+    capsys.readouterr()
+    out = {}
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        out[name] = capsys.readouterr().out.encode()
+        path = str(tmp_path / name)
+        assert main([*argv, "--out", path]) == 0
+        capsys.readouterr()
+        out[name + "-out"] = Path(path + ".csv" if argv[0] == "reconstruct" else path).read_bytes()
+    return out
+
+
+def test_cli_csv_is_the_row_loop_csv(tmp_path, capsys, monkeypatch):
+    # Every CSV the CLI formats in parts, to stdout and to a file, has the
+    # bytes of the reference rows, computed here from the library.
+    from lasso_spectra.reconstruct import compare, hadamard_reconstruct
+    from lasso_spectra.spectrum import SpectrumCatalog, build_frame, entries_from_csv
+
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _count_forks(monkeypatch)
+    out = _charfn_and_reconstruct(tmp_path, capsys)
+    assert len(forks) == 4 * 2 * 2  # 4 runs of 200-301 rows, 2 outputs each, 3 parts
+
+    graph, _ = graph_from_json(DELTA)
+    rho = 0.0 + 0.01 * np.arange(301)
+    lam = -4.0 + 0.05 * np.arange(261)
+    want = {
+        "charfn-rho": _row_loop_csv("rho,delta", rho, charfn_for(graph, Problem.neumann(), rho * rho)),
+        "charfn-lambda": _row_loop_csv("lambda,delta", lam, charfn_for(graph, Problem.dirichlet(1), lam)),
+    }
+    entries = entries_from_csv((tmp_path / "spectra.csv").read_text())
+    frame = build_frame(graph, Problem.neumann())
+    catalog = SpectrumCatalog(entries, frame, max(e.rho0 for e in entries), "L")
+    result = hadamard_reconstruct(catalog, np.linspace(-5.0, 9.0, 200), 5)
+    report = compare(result, lambda x: charfn_for(graph, Problem.neumann(), x))
+    want["reconstruct"] = _row_loop_csv(
+        "lambda,delta_hat,delta_direct,rel_error", report.grid, report.recovered, report.direct, report.rel_error
+    )
+    want["reconstruct-bare"] = _row_loop_csv("lambda,delta_hat", result.grid, result.values)
+    for name, data in want.items():
+        assert out[name] == out[name + "-out"] == data, name
+
+
+def test_cli_csv_does_not_depend_on_a_child(tmp_path, capsys, monkeypatch):
+    # A child that fails, or a fork that fails, leaves its part to the
+    # parent: the same bytes, exit 0 and nothing on stderr.
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    want = _charfn_and_reconstruct(tmp_path, capsys)
+
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def failing_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return format_rows(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_format_rows", failing_in_a_child)
+        assert _charfn_and_reconstruct(tmp_path, capsys) == want
+
+    def failing_fork():
+        raise OSError("no more processes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", failing_fork)
+        assert _charfn_and_reconstruct(tmp_path, capsys) == want
+    assert capsys.readouterr().err == ""
+
+
+def test_fork_warning_is_filtered(monkeypatch):
+    # Python 3.12+ warns at a fork of a process with threads, as numpy's BLAS
+    # starts; that warning is filtered, and no other is issued.
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+            "deadlocks in the child.",
+            DeprecationWarning,
+        )
+        return real_fork()
+
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", warning_fork)
+    columns = _columns(30, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.float_csv("x,y", *columns) == _row_loop_csv("x,y", *columns)
+    assert caught == []
+
+
+def test_forked_csv_writes_nothing_to_stderr():
+    # With every warning an error, and DeprecationWarnings shown (CPython
+    # clears the fork warning rather than raise it), a run in parts writes
+    # its CSV and nothing to stderr. Two CPUs are forced, so it forks here
+    # whatever the machine.
+    proc = _python(
+        "-W", "error", "-W", "always::DeprecationWarning", "-c",
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from lasso_spectra import cli\n"
+        "cli.MIN_ROWS_PER_PART = 100\n"
+        f"sys.exit(cli.main(['charfn', '--config', {DELTA!r}, '--rho=0:5:0.01']))\n",
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    graph, _ = graph_from_json(DELTA)
+    rho = 0.01 * np.arange(501)
+    assert proc.stdout.encode() == _row_loop_csv("rho,delta", rho, charfn_for(graph, Problem.neumann(), rho * rho))

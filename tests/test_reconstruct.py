@@ -10,6 +10,7 @@ from free_reference import free_charfn_dirichlet
 from propagate_reference import StateMatrix
 
 from lasso_spectra import checks, reconstruct
+from lasso_spectra.cli import float_csv
 from lasso_spectra.charfn import assemble, charfn_for
 from lasso_spectra.errors import DegenerateLeadingTerm, InsufficientCatalog, NearPole
 from lasso_spectra.graph import Problem, lasso_graph
@@ -18,7 +19,6 @@ from lasso_spectra.reconstruct import (
     compare,
     hadamard_reconstruct,
     leading_constant,
-    result_to_csv,
 )
 from lasso_spectra.spectrum import SpectrumCatalog, compute_catalog
 from lasso_spectra.trigpoly import AsymptoticFrame, TrigPoly, build_frame
@@ -158,13 +158,18 @@ def test_compare_identical_is_zero(pi_lasso):
 
 
 def test_result_csv(delta_catalog_deep, delta_lasso):
+    # The CLI's CSV of a report: one row per grid point that reads back to
+    # the report's values, bit for bit.
     grid = off_eigenvalue_grid(delta_catalog_deep, -1.0, 1.0, 20)
     res = hadamard_reconstruct(delta_catalog_deep, grid, 25)
-    text = compare(res, lambda lam: charfn_for(delta_lasso, Problem.neumann(), lam)).to_csv()
-    lines = text.strip().splitlines()
+    report = compare(res, lambda lam: charfn_for(delta_lasso, Problem.neumann(), lam))
+    columns = (report.grid, report.recovered, report.direct, report.rel_error)
+    lines = float_csv("lambda,delta_hat,delta_direct,rel_error", *columns).decode().splitlines()
     assert lines[0] == "lambda,delta_hat,delta_direct,rel_error"
     assert len(lines) == len(grid) + 1
-    bare = result_to_csv(res)
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(table, np.column_stack(columns))
+    bare = float_csv("lambda,delta_hat", res.grid, res.values).decode()
     assert bare.splitlines()[0] == "lambda,delta_hat"
 
 

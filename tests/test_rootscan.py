@@ -103,6 +103,18 @@ def test_touch_next_to_a_crossing_in_its_stencil():
     assert abs(roots[0][0] - r) <= 2e-9 and abs(roots[1][0] - q) <= 1e-12
 
 
+def test_shallow_split_pair_is_two_simple_roots():
+    # Two roots 2e-6 apart in one cell: the dip between reads -1e-12 of the
+    # scan scale, far inside TOUCH_FACTOR, but f changes sign twice there.
+    r1 = 1.0053
+    r2 = r1 + 2e-6
+
+    roots, scale = scan_roots(lambda x: (x - r1) * (x - r2), 0.0, 2.0, 200)
+    assert (r2 - r1) ** 2 / 4.0 / scale == pytest.approx(1e-12, rel=0.02)
+    assert [m for _, m in roots] == [1, 1]
+    assert abs(roots[0][0] - r1) <= 1e-12 and abs(roots[1][0] - r2) <= 1e-12
+
+
 def _brackets(bounds, w0, quotient):
     """fn, lo, hi, its end values and args on brackets (a, a + w): a sum of two
     sinusoids, or with quotient its dips' difference quotient, args=(h, sgn)."""
