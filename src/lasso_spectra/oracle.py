@@ -1,67 +1,45 @@
 """Independent brute-force eigenvalues from a finite-element discretization.
 
 Ground truth for cross-validation: piecewise-linear elements with lumped mass
-on every edge, the cycle closing both its endpoints onto the internal vertex.
-Integrating the operator against the solution and applying the matching and
-boundary conditions turns sigma into point terms: each interior jump of sigma
-(a delta potential) adds its height at that node, and the one-sided endpoint
-values of sigma add [sigma_0(0+) - sum_j sigma_j(|e_j|-)] at the internal
-vertex and sigma_j(0+) at each free pendant end. Both are the jumps of sigma
-extended by zero beyond its edge: every edge adds sigma_j(0+) at its start
-and -sigma_j(|e_j|-) at its end, the internal vertex. The generalized problem
-A u = lambda M u is reduced by M^(-1/2) to an ordinary symmetric one, so the
-spectrum is real and the assembly is symmetric by construction.
+on every edge, the cycle closing both its ends onto the internal vertex. In
+the weak form sigma becomes point terms, its jumps extended by zero beyond
+its edge: a delta's height at its node, sigma_j(0+) at each edge's start and
+-sigma_j(|e_j|-) at the vertex. M^(-1/2) reduces A u = lambda M u to an
+ordinary symmetric problem.
 
 Each edge numbers its own dofs along the edge, and the internal vertex is
 kept apart, so deleting it leaves p + 1 independent chains: the cycle's
 interior and each pendant (without its pinned end for Lj). The operator is
-A = [[a, b^T], [b, T]]: T is tridiagonal with a zero coupling between chains,
-and b is nonzero only at the p + 2 chain ends next to the vertex; no
-dim x dim matrix is built. By Cauchy interlacing, lambda_k lies in
-[mu_(k-1), mu_k], the eigenvalues of T (below mu_0 and above the top mu,
-Gershgorin bounds close the bracket). Inside it, Haynsworth's
-inertia formula counts N(sigma) = #{mu < sigma} + [s(sigma) < 0] with the
-vertex Schur complement s(sigma) = a - sigma - b^T (T - sigma)^(-1) b
-(Golub, SIAM Rev. 1973). So lambda_k is where s changes sign, found by
-bisection sped up by Newton steps inside the bracket, with
-s' = -1 - |(T - sigma)^(-1) b|^2. Where b^T v = 0 for a mu's eigenvector v,
-s has no pole there and lambda_k = mu (the sign rule finds it; so do equal
-mu, as from equal chains).
+A = [[a, b^T], [b, T]], T tridiagonal with a zero coupling between chains and
+b nonzero at the p + 2 chain ends next to the vertex. By Cauchy interlacing,
+lambda_k lies in [mu_(k-1), mu_k], the eigenvalues of T (Gershgorin bounds
+close the outer brackets). Inside it, Haynsworth's inertia formula counts
+N(sigma) = #{mu < sigma} + [s(sigma) < 0] with the vertex Schur complement
+s(sigma) = a - sigma - b^T (T - sigma)^(-1) b (Golub, SIAM Rev. 1973), so
+lambda_k is where s changes sign, found by bisection sped up by Newton steps
+(s' = -1 - |(T - sigma)^(-1) b|^2). Where b^T v = 0 for a mu's eigenvector v,
+s has no pole there and lambda_k = mu.
 
-No shift solves a linear system. A chain's rows fall into a few runs of
-equal (diagonal, |off-diagonal|), and over a run of m rows the elimination
-of T_c - sigma follows Chebyshev polynomials in closed form, so one pass
-over the runs (_pass) gives the last pivot r, d(1/r)/dsigma, det(T_c - sigma)
-and its log-derivative, at O(runs) per chain and shift instead of O(dim).
-s and s' take one pass per pendant and two on the cycle (three near an
-eigenvalue of the cycle's chain without its last row), and a Newton step
-on a chain eigenvalue one. The lowest eigenvalues agree with a dense
-symmetric solve within ~3e-11 relative at 50-160 points per unit, and with
-gtsv-based bisection of s within 1e-10 on the shipped configs and the
-`oracle` benchmark cells, on both grids.
+Nothing is assembled node by node. A chain's rows share one (diagonal,
+|off-diagonal|) but at sigma's breakpoints and a free end, so a chain is a
+few runs of equal rows whatever h: the operator's format (DiscreteOperator),
+which discretize forms from each edge's node count and breakpoint rows, float
+for float as a per-node assembly would. The set-up reads the runs, but for
+two numpy pairwise sums over rows that steer the cold bisection: ~0.17 ms a
+grid level on the `oracle` benchmark cells, against ~0.39 ms with a per-node
+assembly compressed into runs (2-vCPU VM). Over a run the elimination of
+T_c - sigma follows Chebyshev polynomials in closed form, so one pass over the
+runs (_pass) gives the last pivot r, d(1/r)/dsigma, det(T_c - sigma) and its
+log-derivative: s and s' take one per pendant and two or three on the cycle.
+The lowest eigenvalues agree with a dense symmetric solve within ~3e-11
+relative at 50-160 points per unit, and with gtsv-based bisection of s within
+1e-10. The mu come from one solver per chain (_Chain): Newton on its last
+pivot, certified by a Sturm count in closed form per run, which also isolates
+a cold start; they agree with LAPACK stebz within ~2e-11 relative.
 
-Each iteration starts at its bracket's midpoint, except the first bracket's:
-below mu_0, s is concave and decreasing, so Newton converges from the right
-of lambda_0 without bisecting; it starts an eighth of the mean spacing of
-the mu below mu_0. A bracket whose root is its own end (a removable or
-nearly removable pole, b^T v ~ 0) sends Newton past that end every step;
-the first such step probes s once at 2 tol inside the end, and if the root
-lies between, the eigenvalue is that mu.
-
-The mu come from one solver per chain T_c (_Chain), on both grids: Newton
-on its last pivot r (step -r / r'), certified as the k-th eigenvalue of the
-chain by a Sturm count, also in closed form per run. The count also
-isolates the start of a cold mu, and bisects where a certificate fails.
-Byte-identical chains (equal pendants) are solved once, so they give
-bit-equal mu. The mu agree with LAPACK stebz at full precision within
-~2e-11 relative.
-
-Eigenvalue error is O(h^2); richardson_eigs extrapolates over h and h/2,
-the fine grid doubling each edge's node count. The fine solve starts each
-mu at the coarse mu of the same chain and index, and each bracket at its
-coarse eigenvalue (one outside its bracket probes the nearer end first).
-
-The module needs numpy alone.
+Eigenvalue error is O(h^2); richardson_eigs extrapolates over h and h/2, the
+fine grid doubling each edge's node count and starting each mu and bracket at
+its coarse value. The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -77,39 +55,100 @@ from .graph import Problem, validate
 MIN_POINTS_PER_UNIT = 50
 # Newton steps per start on one chain; quadratic convergence needs 2-4.
 MAX_CHAIN_STEPS = 30
-_TINY = np.finfo(float).tiny
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _nodes_for_edge(edge, unit: float, points_per_unit: float) -> int:
-    """Node count making every sigma breakpoint land exactly on a grid node."""
-    length = edge.length
-    align = 1
-    for b in edge.potential.breakpoints[1:-1]:
-        r = b / length  # exact rational position along the edge
-        align = align * r.denominator // math.gcd(align, r.denominator)
-    target = float(length) * unit * points_per_unit
-    n = max(1, math.ceil(target / align)) * align
-    return n
+def _grid(edge, unit: float, points_per_unit: float, refine: int = 1) -> tuple[int, list[int]]:
+    """The node count that puts every sigma breakpoint exactly on a grid node, times
+    refine, and the nodes of the interior breakpoints."""
+    ratios = [b / edge.length for b in edge.potential.breakpoints[1:-1]]  # exact positions
+    align = math.lcm(1, *(r.denominator for r in ratios))
+    n = refine * max(1, math.ceil(float(edge.length) * unit * points_per_unit / align)) * align
+    return n, [r.numerator * (n // r.denominator) for r in ratios]
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Mass-normalized symmetric operator A = [[a, b^T], [b, T]], with its grid metadata.
+    """Mass-normalized symmetric A = [[a, b^T], [b, T]], row 0 the vertex. A chain of
+    T is its runs of equal rows, (diagonal, |off-diagonal|, rows) from its first row
+    to the one next to the vertex, row 0 taking row 1's |off| (1.0 alone); the
+    off-diagonals are negative. ends: b at each chain's first and last row (one row: last)."""
 
-    Row 0 is the internal vertex; T = tridiag(off, diag, off) holds the chains
-    left when it is deleted, with off = 0 between chains.
-    """
-
-    diag: np.ndarray
-    off: np.ndarray
-    b: np.ndarray
+    chains: tuple[tuple[tuple[float, float, int], ...], ...]
+    ends: tuple[tuple[float, float], ...]
     a: float
     h: tuple[float, ...]  # grid spacing per edge
 
+    # The per-node arrays, derived from the runs, with off = 0 between chains.
     @property
-    def bounds(self) -> np.ndarray:
-        """Chain c of T is rows bounds[c]:bounds[c + 1]; T splits where off = 0."""
-        return np.r_[0, np.flatnonzero(self.off == 0.0) + 1, len(self.diag)]
+    def diag(self) -> np.ndarray:
+        return np.concatenate([_rows(runs)[0] for runs in self.chains])
+
+    @property
+    def off(self) -> np.ndarray:
+        return np.concatenate([np.r_[-_rows(runs)[1][1:], 0.0] for runs in self.chains])[:-1]
+
+    @property
+    def b(self) -> np.ndarray:
+        b = [np.zeros(sum(m for _, _, m in runs)) for runs in self.chains]
+        for rows, (first, last) in zip(b, self.ends):
+            rows[0], rows[-1] = first, last
+        return np.concatenate(b)
+
+
+def _rows(runs) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's diagonal and row |off| (row 0's that of row 1), row by row."""
+    d, e, m = zip(*runs)
+    return np.repeat(d, m), np.repeat(e, m)
+
+
+def _compress(diag, gaps) -> tuple[tuple[float, float, int], ...]:
+    """A chain's runs from (value, rows) pieces of its diagonal and of the |off| between its
+    rows: equal adjacent rows merge, and row 0 takes row 1's |off| (1.0 alone)."""
+    gaps = [g for g in gaps if g[1]]
+    couple = iter([(gaps[0][0], 1), *gaps] if gaps else [(1.0, 1)])
+    (e, left), runs = next(couple), []
+    for d, m in diag:
+        while m:
+            e, left = (e, left) if left else next(couple)
+            step = min(m, left)
+            if runs and runs[-1][:2] == (d, e):
+                runs[-1] = (*runs[-1][:2], runs[-1][2] + step)
+            else:
+                runs.append((d, e, step))
+            m, left = m - step, left - step
+    return tuple(runs)
+
+
+def _oriented(runs, reverse: bool = False, drop_last: bool = False):
+    """The runs of a chain given by its runs, reversed and/or without its last row."""
+    diag, gaps = [[d, m] for d, _, m in runs], [[e, m] for _, e, m in runs]
+    gaps[0][1] -= 1  # row 0 has no row before it
+    if drop_last:
+        diag[-1][1], gaps[-1][1] = diag[-1][1] - 1, gaps[-1][1] - 1
+    return _compress(diag[::-1], gaps[::-1]) if reverse else _compress(diag, gaps)
+
+
+def _gershgorin(runs, first: float = 0.0, last: float = 0.0) -> tuple[float, float]:
+    """min(d - r) and max(d + r) over a chain's rows, r the row's |off| before plus
+    after, plus |b| at the chain's first and last row (b = first, last)."""
+    lower, upper, alone = math.inf, -math.inf, len(runs) == 1 and runs[0][2] == 1
+    for j, ((d, e, m), after) in enumerate(zip(runs, [*(e for _, e, _ in runs[1:]), 0.0])):
+        # k of the run's rows have e before them (row 0 none); r peaks at one of the last two.
+        k = m - (j == 0)
+        r = after if k == 0 else e + after if k == 1 else e + max(e, after)
+        lower, upper = min(lower, d - r), max(upper, d + r)
+    for d, b, e in ((runs[0][0], first, runs[0][1]), (runs[-1][0], last, runs[-1][1])):
+        r = abs(b) + (0.0 if alone else e)  # an end row's one |off| is its run's
+        lower, upper = min(lower, d - r), max(upper, d + r)
+    return lower, upper
+
+
+def _outer_bounds(op: DiscreteOperator) -> tuple[float, float]:
+    """Gershgorin bounds of A: the vertex row's (numpy's pairwise sum of |b|) and the chains'."""
+    bound = np.sum(np.abs(op.b))
+    rows = [_gershgorin(runs, *ends) for runs, ends in zip(op.chains, op.ends)]
+    return min(op.a - bound, *(lo for lo, _ in rows)), max(op.a + bound, *(hi for _, hi in rows))
 
 
 def discretize(graph, problem: Problem, points_per_unit: float, refine: int = 1) -> DiscreteOperator:
@@ -117,45 +156,51 @@ def discretize(graph, problem: Problem, points_per_unit: float, refine: int = 1)
     each edge's node count times refine (so refine = 2 halves every spacing)."""
     graph = validate(graph)
     problem.check(graph)
-    if points_per_unit < MIN_POINTS_PER_UNIT:
-        raise GridTooCoarse(
-            f"points_per_unit = {points_per_unit} < {MIN_POINTS_PER_UNIT}"
-        )
-    counts = [refine * _nodes_for_edge(e, graph.unit_value, points_per_unit) for e in graph.edges]
-    spacings = [graph.edge_length(j) / n for j, n in enumerate(counts)]
+    if not MIN_POINTS_PER_UNIT <= points_per_unit < math.inf:
+        raise GridTooCoarse(f"points_per_unit = {points_per_unit}, not finite and >= {MIN_POINTS_PER_UNIT}")
+    if refine < 1:
+        raise ValueError(f"refine = {refine} < 1")
 
-    # Each edge's local nodes 0..n: n is the internal vertex, and so is 0 on
-    # the cycle. Its chain is nodes first..n-1, without the pinned end for Lj;
-    # each chain's last off entry (to the next chain) is 0.
+    # Each edge's local nodes 0..n: n is the internal vertex, and so is 0 on the
+    # cycle; its chain is nodes first..n-1. Node i has stiffness 2 / h (1 / h at
+    # 0 and n) plus the jump of sigma there, mass h (h / 2 at 0 and n), and -1 / h
+    # to node i + 1, all scaled by mass^(-1/2) per row and column, float for float.
     pinned = problem.j if problem.kind == "dirichlet" else None
-    diag, off, couple, mass = [], [], [], []
+    chains, ends, spacings = [], [], []
     a = vertex_mass = 0.0
-    for j, (edge, n, h) in enumerate(zip(graph.edges, counts, spacings)):
-        stiff, lumped, link = np.full(n + 1, 2.0 / h), np.full(n + 1, h), np.zeros(n + 1)
-        stiff[[0, n]], lumped[[0, n]] = 1.0 / h, h / 2.0
-        nodes = [b / edge.length * n for b in edge.potential.breakpoints]
-        assert all(x.denominator == 1 for x in nodes), "breakpoint not on a grid node"
-        # The jumps of sigma, ends included.
-        stiff[[int(x) for x in nodes]] += np.diff([0.0, *edge.potential.values, 0.0])
-        # link couples a node to the vertex (on a one-element cycle, the vertex to itself).
-        ends = [0, n] if j == 0 else [n]
-        link[n - 1] -= 1.0 / h
-        if j == 0:
-            link[1] -= 1.0 / h
-        a += np.sum((stiff + link)[ends])
-        vertex_mass += np.sum(lumped[ends])
+    for j, edge in enumerate(graph.edges):
+        n, nodes = _grid(edge, graph.unit_value, points_per_unit, refine)
+        h = graph.edge_length(j) / n
+        spacings.append(h)
+        values = edge.potential.values
+        jumps = [v - u for u, v in zip((0.0, *values), (*values, 0.0))]  # of sigma, ends included
+        inv = 1.0 / h
+        # The vertex's stiffness and mass from this edge (a one-element cycle links it to itself).
+        link = -inv if j == 0 and n == 1 else 0.0
+        a += (inv + jumps[0] + link) + (inv + jumps[-1] + link) if j == 0 else inv + jumps[-1]
+        vertex_mass += h / 2.0 + h / 2.0 if j == 0 else h / 2.0
         first = 1 if j in (0, pinned) else 0
-        chain_off = np.full(n - first, -1.0 / h)
-        chain_off[-1:] = 0.0
-        diag.append(stiff[first:n])
-        off.append(chain_off)
-        couple.append(link[first:n])
-        mass.append(lumped[first:n])
+        if first == n:
+            continue  # no chain rows
+        w = 1.0 / math.sqrt(h)
+        diag, gaps, row = [], [(inv * w * w, max(n - 2, 0))], 1
+        for k, jump in zip(nodes, jumps[1:-1]):
+            diag += [(2.0 / h * w * w, k - row), ((2.0 / h + jump) * w * w, 1)]
+            row = k + 1
+        diag.append((2.0 / h * w * w, n - row))
+        if first == 0:  # the free end, mass h / 2
+            w0 = 1.0 / math.sqrt(h / 2.0)
+            diag.insert(0, ((inv + jumps[0]) * w0 * w0, 1))
+            gaps.insert(0, (inv * w0 * w, 1 if n > 1 else 0))
+        chains.append(_compress(diag, gaps))
+        # b / w_a: -1 / h next to the vertex, and at the cycle's first row (one row: both).
+        cycle = (-inv * w, -inv * w) if n > 2 else (0.0, (-inv - inv) * w)
+        ends.append(cycle if j == 0 else (0.0, -inv * (w if n > 1 else w0)))
 
-    w, w_a = 1.0 / np.sqrt(np.concatenate(mass)), 1.0 / math.sqrt(vertex_mass)
-    diag, off = np.concatenate(diag) * w * w, np.concatenate(off)[:-1] * w[:-1] * w[1:]
-    b = np.concatenate(couple) * w * w_a
-    return DiscreteOperator(diag, off, b, a * w_a * w_a, tuple(spacings))
+    w_a = 1.0 / math.sqrt(vertex_mass)
+    # From a list: tuple() resizes a generator's, which leaves one on CPython's free lists per call.
+    ends = tuple([(first * w_a, last * w_a) for first, last in ends])
+    return DiscreteOperator(tuple(chains), ends, a * w_a * w_a, tuple(spacings))
 
 
 def _chebyshev_u(n: int, eps: float) -> tuple[float, float, float, float]:
@@ -176,15 +221,13 @@ def _chebyshev_u(n: int, eps: float) -> tuple[float, float, float, float]:
 
 
 def _run(u: float, v: float, p: float, q: float, dp: float, dq: float, e: float, m: int):
-    """Q_(m-1), Q_m and their sigma-derivatives for Q_j = q U_j(x) - p U_(j-1)(x),
-    which starts from Q_(-1) = p, Q_0 = q, all times a positive factor that is returned.
-
-    Q is linear in (p, q), so a zero entering pivot (q = 0) costs no precision.
-    Beside the top edge (v < u) it runs on (-1)^j Q_j at -x. Within
-    (m + 1)^2 |2x - 2| <= 1/4 of the edge it sums U's series; in the band the
-    values take the phase form R sin(j theta + phi) / sin theta, as the count
-    does; below it Q_j = A exp(j t) + B exp(-j t), scaled by exp(-m t), which
-    keeps a decaying Q exact.
+    """Q_(m-1), Q_m and their sigma-derivatives for Q_j = q U_j(x) - p U_(j-1)(x)
+    from Q_(-1) = p, Q_0 = q (linear in (p, q): a zero entering pivot costs no
+    precision), all times a positive factor that is returned. Beside the top
+    edge (v < u) it runs on (-1)^j Q_j at -x. Within (m + 1)^2 |2x - 2| <= 1/4
+    of the edge it sums U's series; in the band it takes the count's phase form
+    R sin(j theta + phi) / sin theta; below it A exp(j t) + B exp(-j t), scaled
+    by exp(-m t), which keeps a decaying Q exact.
     """
     flip = v < u
     if flip:
@@ -231,25 +274,16 @@ def _run(u: float, v: float, p: float, q: float, dp: float, dq: float, e: float,
     return qa, qb, dqa, dqb, factor
 
 
-def _runs(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, float, int]]:
-    """A chain's runs of equal (d_i, |off_(i-1)|) as (d, |off|, rows); row 0 takes |off_0|."""
-    couple = np.abs(np.concatenate((off[:1], off))) if len(off) else np.ones(1)
-    cuts = np.flatnonzero((diag[1:] != diag[:-1]) | (couple[1:] != couple[:-1])) + 1
-    bounds = [0, *cuts.tolist(), len(diag)]
-    return [(float(diag[i]), float(couple[i]), j - i) for i, j in zip(bounds[:-1], bounds[1:])]
-
-
 def _pass(runs: list[tuple[float, float, int]], sigma: float) -> tuple[float, float, float, float]:
-    """Over a chain's runs: the last pivot r of T_c - sigma, P = d(1 / r) / dsigma,
-    prod(|off|) / det(T_c - sigma) and d log|det(T_c - sigma)| / dsigma.
+    """Over a chain's runs: the last pivot r of T_c - sigma, P = d(1 / r) / dsigma
+    (|(T_c - sigma)^(-1) e_last|^2, a chain end's s' term), prod(|off|) /
+    det(T_c - sigma) and d log|det(T_c - sigma)| / dsigma.
 
-    The pivots of T_c - sigma are r_i = (d_i - sigma) - off_(i-1)^2 / r_(i-1),
-    and over a run of m rows with entries (c, e) they are e Q_j / Q_(j-1) with
-    Q_j = 2 x Q_(j-1) - Q_(j-2), x = (c - sigma) / 2e (see _run), which
-    carries the determinant: det(rows 0..i) = Q_i times the e's so far. The
-    pass carries (Q, Q') homogeneously through the runs and divides once at
-    the end, so a pivot near zero at a run's end costs no precision. P is
-    |(T_c - sigma)^(-1) e_last|^2, the s' term of a chain end.
+    The pivots r_i = (d_i - sigma) - off_(i-1)^2 / r_(i-1) over a run of m rows
+    with entries (c, e) are e Q_j / Q_(j-1), Q_j = 2 x Q_(j-1) - Q_(j-2),
+    x = (c - sigma) / 2e (see _run), and det(rows 0..i) = Q_i times the e's so
+    far. The pass carries (Q, Q') homogeneously and divides once at the end,
+    so a pivot near zero at a run's end costs no precision.
     """
     # (Q_(i-1) / e, Q_i) after the rows so far, e their last run's, with
     # Q_i = det(rows 0..i) / (their e's product) times scale.
@@ -279,46 +313,33 @@ def _pass(runs: list[tuple[float, float, int]], sigma: float) -> tuple[float, fl
 class _Chain:
     """One chain T_c of T: Sturm counts and Newton steps on that chain alone.
 
-    The count below sigma is the number of negative pivots
-    r_i = (d_i - sigma) - off_(i-1)^2 / r_(i-1) of T_c - sigma. The rows fall
-    into runs of equal (d_i, |off_(i-1)|) = (c, e). Inside a run the pivots
-    are e q_j / q_(j-1) for q_j = 2 x q_(j-1) - q_(j-2), x = (c - sigma) / 2e,
-    started from the entering pivot r as q_(-1) = e / r, q_0 = 1. In the band,
-    |x| < 1, q_j ~ sin(j theta + phi) with cos theta = x, so m rows add
+    The count below sigma is the number of negative pivots of T_c - sigma.
+    Over a run of entries (c, e) they are e q_j / q_(j-1) for
+    q_j = 2 x q_(j-1) - q_(j-2), x = (c - sigma) / 2e, from the entering pivot
+    r as q_(-1) = e / r, q_0 = 1 (row 0: q_(-1) = 0). In the band, |x| < 1,
+    q_j ~ sin(j theta + phi) with cos theta = x, so m rows add
     floor((m theta + phi) / pi) negative pivots; below it, q_j = a exp(j theta)
     + (1 - a) exp(-j theta) changes sign at most once, and above it (-1)^j q_j
-    does. A run costs O(1) and a count O(runs). Row 0 enters with an infinite
-    pivot (q_(-1) = 0), so it joins the run of row 1 when their entries match.
-    A Newton step is one pass (_pass) over the same runs.
+    does. A count costs O(runs), and so does a Newton step (_pass).
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray):
-        self.size = len(diag)
-        # Row i couples back by |off_(i-1)|; row 0 by |off_0|, which its
-        # infinite entering pivot ignores.
-        couple = np.abs(np.concatenate((off[:1], off))) if len(off) else np.ones(1)
-        radius = couple.copy()
-        radius[0] = 0.0
-        radius[:-1] += couple[1:]
-        self.lower, self.upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+    def __init__(self, runs):
+        self.runs = runs
+        self.size = sum(m for _, _, m in runs)
+        self.lower, self.upper = _gershgorin(runs)
         # The rounding level of a pivot, and LAPACK's guard against a zero pivot.
-        self.tol = 4.0 * np.finfo(float).eps * max(abs(self.lower), abs(self.upper))
-        self.pivmin = np.finfo(float).tiny * max(1.0, float(np.max(couple)) ** 2)
-        self.runs = _runs(diag, off)
+        self.tol = 4.0 * _EPS * max(abs(self.lower), abs(self.upper))
+        self.pivmin = _TINY * max(1.0, max(e for _, e, _ in runs) ** 2)
         self.seen: dict[float, int] = {}  # count(sigma) by sigma
-        # The Rayleigh quotient of the all-ones vector bounds mu_0 above.
-        self.first = min(self.upper, float(np.sum(diag) + 2.0 * np.sum(off)) / self.size + self.tol)
-
-    def count(self, sigma: float) -> int:
-        """The number of eigenvalues below sigma: the negative pivots of T_c - sigma."""
-        return self.pivots(sigma)[0]
+        # The Rayleigh quotient of the all-ones vector (pairwise sums) bounds mu_0 above.
+        diag, couple = _rows(runs)
+        self.first = min(self.upper, float(np.sum(diag) - 2.0 * np.sum(couple[1:])) / self.size + self.tol)
 
     def pivots(self, sigma: float) -> tuple[int, float]:
-        """count(sigma) and the last pivot; every count is kept to bracket later eigenvalues."""
+        """The count below sigma (negative pivots) and the last pivot; counts are kept for eig."""
         negative, r = 0, math.inf
         for c, e, m in self.runs:
-            # sigma lies in the band [c - 2e, c + 2e] where u and v = 1 - u are
-            # positive; each is measured from its own band edge.
+            # sigma is in the band [c - 2e, c + 2e] where u, v = 1 - u > 0, each from its edge.
             u, v = (sigma - (c - 2.0 * e)) / (4.0 * e), ((c + 2.0 * e) - sigma) / (4.0 * e)
             inv = e / r  # q_(-1)
             if u > 0.0 and v > 0.0:
@@ -368,9 +389,8 @@ class _Chain:
         """Newton on the last pivot r inside (lo, hi): the step -r / r' is 1 / (r P)."""
         for _ in range(MAX_CHAIN_STEPS):
             r, slope, _, _ = _pass(self.runs, sigma)
-            # Next to an eigenvalue whose vector nearly vanishes at the last row,
-            # r P can overflow or underflow; the step is then 0 or leaves (lo, hi),
-            # and the count certifies or rejects.
+            # Next to an eigenvalue whose vector nearly vanishes at the last row, r P
+            # can over- or underflow: the step is 0 or leaves (lo, hi), and the count judges.
             rate = r * slope
             step = 1.0 / rate if rate else math.inf
             sigma += step
@@ -383,11 +403,9 @@ class _Chain:
     def eig(self, k: int, start: float | None) -> float:
         """The k-th eigenvalue (from 0), by Newton from start, certified by the count.
 
-        Without a start, or after a failed one, it halves the bracket on the
-        count until a shift lies in (mu_k, nu_k), nu_k the k-th eigenvalue of
-        T_c without its last row: there the count is k + 1 and the last pivot
-        is negative. Newton from there moves left and converges without
-        leaving, where from a shift outside it overshoots.
+        Without a start, or after a failed one, it halves the bracket on the count
+        until a shift lies in (mu_k, nu_k), nu_k the k-th eigenvalue of T_c without
+        its last row (count k + 1, last pivot negative), from where Newton converges.
         """
         margin = self.tol
         # Invariant: count(lo) <= k < count(hi), so the eigenvalue is in [lo, hi),
@@ -407,7 +425,7 @@ class _Chain:
                 continue
             mu, sigma = self.newton(sigma, lo, hi), None
             if mu is not None:
-                below, above = self.count(mu - margin), self.count(mu + margin)
+                below, above = self.pivots(mu - margin)[0], self.pivots(mu + margin)[0]
                 if below <= k < above:
                     return mu
                 if above <= k:
@@ -421,20 +439,19 @@ def _continue_mu(op: DiscreteOperator, last: int, coarse_mu: np.ndarray, coarse_
     """The lowest last + 1 eigenvalues of T and their chains, from a coarse grid's.
 
     Each is continued on its own chain from the coarse mu with the same chain
-    and index; byte-identical chains are solved once. Then every chain whose
-    count below the top of that list exceeds what it holds adds its next
-    eigenvalue, until none does. The coarse chains only supply the starts:
-    every mu is certified on its own chain, whatever its start, and with no
-    coarse mu at all every one is found by the count alone.
+    and index; identical chains are solved once. Then every chain whose count
+    below the top of that list exceeds what it holds adds its next eigenvalue,
+    until none does. Every mu is certified on its own chain, whatever its
+    start, and with no coarse mu at all every one is found by the count alone.
     """
-    bounds = op.bounds
+    if last < 0:
+        return np.empty(0), np.empty(0, dtype=int)
     solved, chains = {}, []
-    for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        key = (op.diag[a:b].tobytes(), op.off[a : b - 1].tobytes())
+    for c, key in enumerate(op.chains):
         if key not in solved:
             # Reversed, a pendant's chain ends at its free end, where no eigenvector
             # vanishes, so Newton on the last pivot converges from most of a bracket.
-            solved[key] = (_Chain(op.diag[a:b][::-1], op.off[a : b - 1][::-1]), [])
+            solved[key] = (_Chain(_oriented(key, reverse=True)), [])
         chain, mu = solved[key]
         starts = coarse_mu[coarse_chain == c].tolist()
         for k in range(len(mu), min(len(starts), chain.size)):
@@ -443,11 +460,8 @@ def _continue_mu(op: DiscreteOperator, last: int, coarse_mu: np.ndarray, coarse_
     while True:
         pool = sorted((x, c) for c, _, mu in chains for x in mu)
         top = pool[last][0] if len(pool) > last else math.inf
-        short = {
-            id(mu): (chain, mu)
-            for _, chain, mu in chains
-            if len(mu) < chain.size and (top == math.inf or chain.count(top) > len(mu))
-        }
+        short = {id(mu): (chain, mu) for _, chain, mu in chains if len(mu) < chain.size
+                 and (top == math.inf or chain.pivots(top)[0] > len(mu))}
         if not short:
             break
         for chain, mu in short.values():
@@ -460,37 +474,30 @@ def _schur(op: DiscreteOperator):
     """s(sigma) = a - sigma - b^T (T - sigma)^(-1) b and s' = -1 - |(T - sigma)^(-1) b|^2,
     in one pass per chain end that b couples (two or three on the cycle).
 
-    Every chain end that b couples adds to b^T (T - sigma)^(-1) b. A pendant's
-    chain ends at its vertex row v and adds b_v^2 / r_v. The cycle's chain
-    T_c is coupled at both ends, rows 1 and m; eliminating its rows in order
-    with b as the right-hand side, it adds b_1^2 G'_11 + y^2 / r_m, where G'
-    inverts T' - sigma, T' = T_c without row m, so G'_11 = 1 / (the last
-    pivot of T' reversed), and y = b_m + b_1 prod(-off / r) over T''s rows.
-    This is b_1^2 G_11 + 2 b_1 b_m G_1m + b_m^2 G_mm regrouped: where
-    b^T v = 0 at a mu of the cycle, y vanishes with r_m and the pole's residue
-    y^2 is exact to second order, as it is in an LU solve.
-
-    The regrouping has poles of its own at the eigenvalues of T', where its two
-    terms grow and cancel: 1 / r's ~1e-12 relative error in terms ~1e5 put
-    eigenvalues near one off by up to ~5e-11 relative. Where the
-    unregrouped form's terms are the smaller (by G_11 = G'_11 + pi^2 / r_m,
-    G_1m = pi / r_m and G_mm = 1 / r_m), a third pass, over T_c reversed,
-    gives G_11 = 1 / r_1 and s takes b_1^2 / r_1 + (y + b_1 pi) b_m / r_m,
-    whose poles are the mu alone.
+    A pendant's chain ends at its vertex row v and adds b_v^2 / r_v to
+    b^T (T - sigma)^(-1) b. The cycle's chain T_c is coupled at both ends, rows
+    1 and m; eliminating its rows in order with b as the right-hand side, it
+    adds b_1^2 G'_11 + y^2 / r_m, where G' inverts T' - sigma, T' = T_c without
+    row m, so G'_11 = 1 / (the last pivot of T' reversed), and
+    y = b_m + b_1 prod(-off / r) over T''s rows. This is
+    b_1^2 G_11 + 2 b_1 b_m G_1m + b_m^2 G_mm regrouped: where b^T v = 0 at a mu
+    of the cycle, y vanishes with r_m and the pole's residue y^2 is exact to
+    second order, as in an LU solve. The regrouping has poles of its own at the
+    eigenvalues of T', where its terms grow and cancel (up to ~5e-11 relative
+    on eigenvalues near one). Where the unregrouped terms are the smaller (by
+    G_11 = G'_11 + pi^2 / r_m, G_1m = pi / r_m, G_mm = 1 / r_m), a third pass,
+    over T_c reversed, gives G_11 = 1 / r_1 and s takes
+    b_1^2 / r_1 + (y + b_1 pi) b_m / r_m, whose poles are the mu alone.
     """
-    # Byte-identical pendants (with their b_v) add one term, b_v^2 summed.
-    pendants: dict[bytes, list] = {}
-    cycles = []
-    bounds = op.bounds
-    for a, z in zip(bounds[:-1], bounds[1:]):
-        diag, off, last = op.diag[a:z], op.off[a : z - 1], float(op.b[z - 1])
-        if z - a > 1 and op.b[a]:
-            sign = float(np.prod(-np.sign(off)))
-            head, back = _runs(diag[:-1], off[:-1]), _runs(diag[-2::-1], off[-2::-1])
-            whole = _runs(diag[::-1], off[::-1])
-            cycles.append((head, back, whole, float(op.b[a]), last, float(diag[-1]), float(off[-1]), sign))
+    # Identical pendants (with their b_v) add one term, b_v^2 summed.
+    pendants, cycles = {}, []
+    for runs, (first, last) in zip(op.chains, op.ends):
+        if first:
+            # The cycle's chain T_c, T' (head), T' reversed (back) and T_c reversed (whole).
+            views = (_oriented(runs, drop_last=True), _oriented(runs, True, True), _oriented(runs, True))
+            cycles.append((*views, first, last, *runs[-1][:2]))
         else:
-            pendants.setdefault(diag.tobytes() + off.tobytes(), [_runs(diag, off), 0.0])[1] += last * last
+            pendants.setdefault(runs, [runs, 0.0])[1] += last * last
 
     vertex = float(op.a)
 
@@ -499,11 +506,11 @@ def _schur(op: DiscreteOperator):
         for runs, weight in pendants.values():
             r, p, _, _ = _pass(runs, sigma)
             s, slope = s - weight / r, slope - weight * p
-        for head, back, whole, first, last, d, off, sign in cycles:
+        for head, back, whole, first, last, d, off in cycles:
             r, p, cof, dlog = _pass(head, sigma)
             rm = (d - sigma) - off * off / r or _TINY
             pm = (1.0 + off * off * p) / (rm * rm)  # d(1 / r_m) / dsigma
-            pi = sign * abs(off) * cof
+            pi = off * cof
             y, dy = last + first * pi, -first * pi * dlog
             r, p, _, _ = _pass(back, sigma)
             grouped = first * first / abs(r) + y * y / abs(rm)
@@ -523,40 +530,34 @@ def _schur(op: DiscreteOperator):
 def _solve(op: DiscreteOperator, count: int, coarse=None):
     """The count smallest eigenvalues, ascending, the chain eigenvalues mu, and each mu's chain.
 
-    coarse is that triple for the same problem on a coarser grid: each mu is
-    continued from the coarse mu of its chain (see _continue_mu), and each
-    bracket's iteration starts at its coarse eigenvalue.
+    coarse is that triple on a coarser grid: each mu continues from the coarse mu
+    of its chain (see _continue_mu), and each bracket from its coarse eigenvalue.
     """
-    count = min(count, len(op.diag) + 1)
-    last = min(count, len(op.diag)) - 1
+    size = sum(m for runs in op.chains for _, _, m in runs)
+    count = min(count, size + 1)
+    last = min(count, size) - 1
     # Gershgorin bounds close the first bracket below and, for count = dim, the last above.
-    radius = np.abs(op.b) + np.abs(np.r_[op.off, 0.0]) + np.abs(np.r_[0.0, op.off])
-    bound = np.sum(np.abs(op.b))
-    lower = min(op.a - bound, np.min(op.diag - radius))
-    upper = max(op.a + bound, np.max(op.diag + radius))
+    lower, upper = _outer_bounds(op)
     # Without a coarse grid every mu is found cold, by the count alone.
     starts, coarse_mu, coarse_chain = coarse or (None, np.empty(0), np.empty(0, dtype=int))
     mu, chain = _continue_mu(op, last, coarse_mu, coarse_chain)
     if coarse is None:
         starts = np.full(count, np.nan)  # nan: start at the bracket's midpoint
         if last > 0:
-            # Below mu_0, s is concave and decreasing, so Newton converges from the
-            # right of lambda_0 without bisecting. An eighth of the mean spacing of
-            # the mu below mu_0 is right of lambda_0 or close to it on the test
-            # fixtures (with one mu, or all within 2 tol, the midpoint as elsewhere).
+            # Below mu_0, s is concave and decreasing, so Newton converges from the right
+            # of lambda_0 without bisecting; an eighth of the mean mu spacing below mu_0
+            # is right of it or close on the test fixtures (else the midpoint, as elsewhere).
             starts[0] = mu[0] - (mu[-1] - mu[0]) / (8.0 * last)
     ends = np.r_[lower, mu, upper]
-    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(ends))  # the rounding level of s / s'
+    tol = 4.0 * _EPS * np.max(np.abs(ends))  # the rounding level of s / s'
     schur = _schur(op)
 
     def root(lo, hi, start):
-        # Inside (lo, hi), lambda < sigma iff s(sigma) < 0.
-        # A start outside the bracket or within 2 tol of an end (where Newton
-        # steps shrink with the distance to the pole and would stop there), or
-        # the first Newton step that leaves past one of its ends, probes once
-        # at 2 tol inside that end: if the root lies between, it is the end (a
-        # removable pole, b^T v ~ 0, where Newton from inside overshoots every
-        # step); if not, the iteration goes on from the midpoint of what is left.
+        # Inside (lo, hi), lambda < sigma iff s(sigma) < 0. A start outside the
+        # bracket or within 2 tol of an end (where Newton would stop at the pole),
+        # or the first Newton step past one of its ends, probes once at 2 tol
+        # inside that end: if the root lies between, it is the end (a removable
+        # pole, b^T v ~ 0); if not, the iteration goes on from the midpoint.
         ends, probe, probed = (lo, hi), None, False
         sigma = start if lo + 2.0 * tol < start < hi - 2.0 * tol else 0.5 * (lo + hi)
         if start <= lo + 2.0 * tol or start >= hi - 2.0 * tol:
@@ -593,11 +594,10 @@ def _solve(op: DiscreteOperator, count: int, coarse=None):
 
 
 def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float) -> np.ndarray:
-    """Eigenvalues extrapolated over grids h and h/2 (cancels the h^2 term).
-
-    The fine grid has exactly twice each edge's coarse node count, and its
-    solve continues from the coarse one (see _solve).
-    """
+    """Eigenvalues extrapolated over grids h and h/2 (cancels the h^2 term). The fine
+    grid doubles each edge's node count, and its solve continues the coarse one."""
+    if count < 0:
+        raise ValueError(f"count = {count} < 0")
     coarse = _solve(discretize(graph, problem, points_per_unit), count)
     fine = _solve(discretize(graph, problem, points_per_unit, refine=2), count, coarse)[0]
     return (4.0 * fine - coarse[0]) / 3.0

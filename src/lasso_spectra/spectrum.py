@@ -45,8 +45,7 @@ def _scan_step(frame: AsymptoticFrame) -> float:
 
 def _zero_root_multiplicity(d, step: float) -> int:
     """Even rho-order of d at 0 by log-ratio of d on a shrinking stencil."""
-    h1, h2 = step / 2.0, step / 4.0
-    v1, v2 = d(h1), d(h2)
+    v1, v2 = d(np.array([step / 2.0, step / 4.0])).tolist()
     if v2 == 0.0 or v1 / v2 <= 0.0:
         raise UnresolvedMultiplicity("cannot estimate the order of the zero at rho = 0")
     est = math.log2(abs(v1 / v2))
@@ -72,8 +71,13 @@ def find_eigenvalues(graph, problem: Problem, rho_max: float, frame: AsymptoticF
     if frame is None:
         frame = build_frame(graph, problem)
 
+    grid = []
+
     def d(rho):
-        return charfn_for(graph, problem, np.asarray(rho, dtype=float) ** 2)
+        values = charfn_for(graph, problem, np.asarray(rho, dtype=float) ** 2)
+        if not grid:
+            grid.append(values)  # scan_roots evaluates its grid first, from rho = 0
+        return values
 
     step = _scan_step(frame)
     n_points = int(math.ceil(rho_max / step))
@@ -81,7 +85,7 @@ def find_eigenvalues(graph, problem: Problem, rho_max: float, frame: AsymptoticF
 
     out = []
     margin = 1e-8 * max(1.0, rho_max)
-    if abs(d(0.0)) <= ZERO_VALUE_TOL * scale:
+    if abs(grid[0][0]) <= ZERO_VALUE_TOL * scale:
         out.append((0.0, _zero_root_multiplicity(d, step)))
     for rho, mult in roots:
         if rho <= margin:

@@ -1,18 +1,20 @@
 import itertools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
+import oracle_reference
 from lasso_spectra import checks, oracle
 from lasso_spectra.errors import GridTooCoarse
-from lasso_spectra.graph import Problem, delta_potential, graph_from_json, lasso_graph
+from lasso_spectra.graph import UNITS, PotentialSpec, Problem, delta_potential, graph_from_json, lasso_graph
 from lasso_spectra.oracle import DiscreteOperator, discretize, richardson_eigs
 from lasso_spectra.spectrum import compute_catalog
 
@@ -34,14 +36,33 @@ def _full(op: DiscreteOperator) -> np.ndarray:
 
 
 def test_toy_matrix_eigenvalues():
-    # The vertex plus a one-node chain: [[2, -1], [-1, 2]].
-    op = DiscreteOperator(np.array([2.0]), np.array([]), np.array([-1.0]), 2.0, (1.0,))
+    # The vertex plus a one-row chain, runs ((d, |off|, rows),) and b = -1: [[2, -1], [-1, 2]].
+    op = DiscreteOperator((((2.0, 1.0, 1),),), ((0.0, -1.0),), 2.0, (1.0,))
     assert np.allclose(oracle._solve(op, 2)[0], [1.0, 3.0])
 
 
 def test_grid_too_coarse(pi_lasso):
-    with pytest.raises(GridTooCoarse):
-        discretize(pi_lasso, Problem.neumann(), 10)
+    # A NaN escaped as ValueError and an infinity as OverflowError.
+    for ppu in (10, 49.999, math.nan, math.inf, -math.inf):
+        with pytest.raises(GridTooCoarse):
+            discretize(pi_lasso, Problem.neumann(), ppu)
+        with pytest.raises(GridTooCoarse):
+            richardson_eigs(pi_lasso, Problem.neumann(), 6, ppu)
+
+
+@pytest.mark.parametrize("refine", [0, -1])
+def test_refine_below_one_is_refused(pi_lasso, refine):
+    # refine = 0 divided by zero, and refine = -1 asked numpy for negative dimensions.
+    with pytest.raises(ValueError, match="refine"):
+        discretize(pi_lasso, Problem.neumann(), 60, refine)
+
+
+def test_count_zero_and_negative(pi_lasso):
+    # Count 0 read the top of an empty list of chain eigenvalues (IndexError).
+    got = richardson_eigs(pi_lasso, Problem.neumann(), 0, 60.0)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+    with pytest.raises(ValueError, match="count"):
+        richardson_eigs(pi_lasso, Problem.neumann(), -1, 60.0)
 
 
 def test_matrix_symmetric(delta_lasso):
@@ -327,10 +348,68 @@ def test_wrong_newton_starts_are_certified(name, request):
             assert np.max(np.abs(mu - want) / np.maximum(1.0, np.abs(want))) <= 1e-10, problem.label()
 
 
+@st.composite
+def _grids(draw):
+    """A lasso, a problem, points per unit and refine, with breakpoints on node 1
+    and node n - 1 of an edge's coarse grid, cycle deltas, zero jumps, and
+    edges of one or two elements (one-row chains, or none)."""
+    unit, ppu = draw(st.sampled_from(["1", "pi"])), draw(st.sampled_from([50.0, 60.0, 75.5]))
+    fractions = [Fraction(1, 100), Fraction(1, 50), Fraction(1, 25), Fraction(1, 10), Fraction(1), Fraction(3, 2)]
+    sigma = st.sampled_from([0.0, 0.5, -2.0]) | st.floats(-40.0, 40.0)
+    lengths, potentials = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        length = draw(st.sampled_from(fractions))
+        # An edge's node count with no breakpoint, and with breakpoints at 1/k and (k - 1)/k.
+        k = math.ceil(float(length) * UNITS[unit] * ppu)
+        spots = [Fraction(1, 2), Fraction(1, 3)] + ([Fraction(1, k), Fraction(k - 1, k)] if k > 2 else [])
+        cuts = sorted(set(draw(st.lists(st.sampled_from(spots), max_size=3))))
+        values = draw(st.lists(sigma, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        lengths.append(length)
+        potentials.append(PotentialSpec((0, *(c * length for c in cuts), length), values))
+    graph = lasso_graph(lengths[0], lengths[1:], potentials=potentials, length_unit=unit)
+    return graph, draw(st.sampled_from(_problems(graph))), ppu, draw(st.sampled_from([1, 2, 4]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_grids())
+def test_runs_equal_the_per_node_assembly(case):
+    # discretize forms each chain's runs from the edge alone; the per-node
+    # assembly compressed afterwards gives the same floats, in both orientations
+    # the solver uses and for the cycle's chain without its last row, and so
+    # do b, a, the Gershgorin bounds and a chain's Rayleigh bound.
+    graph, problem, ppu, refine = case
+    op, ref = discretize(graph, problem, ppu, refine), oracle_reference.discretize(graph, problem, ppu, refine)
+    assume(len(ref.diag))
+    bounds = ref.bounds
+    assert len(op.chains) == len(bounds) - 1
+    for runs, (first, last), a, z in zip(op.chains, op.ends, bounds[:-1], bounds[1:]):
+        diag, off = ref.diag[a:z], ref.off[a : z - 1]
+        views = [(runs, diag, off), (oracle._oriented(runs, reverse=True), diag[::-1], off[::-1])]
+        if z - a > 1:
+            views.append((oracle._oriented(runs, drop_last=True), diag[:-1], off[:-1]))
+            views.append((oracle._oriented(runs, True, True), diag[-2::-1], off[-2::-1]))
+        for got, d, o in views:
+            assert repr(list(got)) == repr(oracle_reference.runs(d, o)), problem.label()
+        assert repr((first, last)) == repr((float(ref.b[a]) if z - a > 1 else 0.0, float(ref.b[z - 1])))
+        chain = oracle._Chain(views[1][0])
+        got = (chain.lower, chain.upper, chain.pivmin, chain.first)
+        assert repr(got) == repr(oracle_reference.chain_constants(diag[::-1], off[::-1]))
+    assert repr(float(op.a)) == repr(float(ref.a)) and op.h == ref.h
+    got, want = oracle._outer_bounds(op), oracle_reference.gershgorin(ref)
+    assert repr([float(x) for x in got]) == repr([float(x) for x in want])
+    for got, want in ((op.diag, ref.diag), (op.off, ref.off), (op.b, ref.b)):
+        assert got.tobytes() == want.tobytes()
+
+
 def _chain_of(runs):
-    """The diagonal and off-diagonal of a chain of (rows, |off|, diag) runs."""
+    """A chain drawn as (rows, |off|, diag) runs, each row's |off| the one to the
+    row before (row 0 has none): the solver's runs, and the dense diagonal and
+    off-diagonal."""
+    gaps = [(e, m) for m, e, _ in runs]
+    gaps[0] = (gaps[0][0], gaps[0][1] - 1)
+    chain = oracle._compress([(c, m) for m, _, c in runs], gaps)
     diag = np.concatenate([np.full(m, c) for m, _, c in runs])
-    return diag, -np.concatenate([np.full(m, e) for m, e, _ in runs])[1:]
+    return chain, diag, -np.concatenate([np.full(m, e) for m, e, _ in runs])[1:]
 
 
 # Runs of equal (diag, off) of a chain, off < 0 as in the FE matrix, with
@@ -346,8 +425,8 @@ RUNS = st.lists(
 @given(runs=RUNS, scale=st.sampled_from([1.0, 1e3, 1e5]))
 def test_chain_count_matches_eigenvalues(runs, scale):
     runs = [(m, scale * e, scale * e * c if c == 2.0 else scale * c) for m, e, c in runs]
-    diag, off = _chain_of(runs)
-    chain = oracle._Chain(diag, off)
+    chain_runs, diag, off = _chain_of(runs)
+    chain = oracle._Chain(chain_runs)
     want = eigh_tridiagonal(diag, off, True) if len(diag) > 1 else diag
     # Between eigenvalues, at the band edges c +- 2|e| of every run and at 0
     # (the hyperbolic, the parabolic and the mirrored regimes), and beyond
@@ -357,7 +436,7 @@ def test_chain_count_matches_eigenvalues(runs, scale):
     gap = 1e-9 * max(1.0, np.max(np.abs(want)))
     for sigma in np.concatenate(shifts):
         if np.min(np.abs(want - sigma)) > gap:
-            assert chain.count(float(sigma)) == np.count_nonzero(want < sigma), sigma
+            assert chain.pivots(float(sigma))[0] == np.count_nonzero(want < sigma), sigma
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,8 +445,8 @@ def test_cold_chain_eigenvalues_match_stebz(runs, scale):
     # No start: each eigenvalue is isolated on the count alone, then Newton
     # runs from a shift where the last pivot is negative.
     runs = [(m, scale * e, scale * e * c if c == 2.0 else scale * c) for m, e, c in runs]
-    diag, off = _chain_of(runs)
-    chain = oracle._Chain(diag, off)
+    chain_runs, diag, off = _chain_of(runs)
+    chain = oracle._Chain(chain_runs)
     want = eigh_tridiagonal(diag, off, True, tol=np.finfo(float).tiny) if len(diag) > 1 else diag
     got = [chain.eig(k, None) for k in range(min(len(diag), 8))]
     # The count's own rounding: bisection on it alone is off by up to ~55 tol
@@ -425,10 +504,7 @@ def _lapack_reference(op, count):
     inside its interlacing bracket (Gershgorin bounds at the ends)."""
     tiny = np.finfo(float).tiny
     mu = eigh_tridiagonal(op.diag, op.off, True, "i", (0, min(count, len(op.diag)) - 1), tol=tiny)
-    radius = np.abs(op.b) + np.abs(np.r_[op.off, 0.0]) + np.abs(np.r_[0.0, op.off])
-    bound = np.sum(np.abs(op.b))
-    lower = min(op.a - bound, np.min(op.diag - radius))
-    upper = max(op.a + bound, np.max(op.diag + radius))
+    lower, upper = oracle_reference.gershgorin(op)
     ends, lam = np.r_[lower, mu, upper], []
     for lo, hi in zip(ends[:count], ends[1 : count + 1]):
         mid = 0.5 * (lo + hi)

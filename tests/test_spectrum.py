@@ -294,13 +294,16 @@ def test_scan_makes_a_fixed_number_of_vector_calls():
     # The grid, the dips' difference quotients and their refinement, fn at
     # the argmins, then one seeded pass over every crossing and split dip:
     # 11 vector calls on this config. Refining crossings and pairs apart,
-    # each pass evaluating its bracket ends, takes 15.
+    # each pass evaluating its bracket ends, takes 15. The zero root at
+    # rho = 0 adds one call, its two-point stencil (d(0) is the grid's first
+    # value); it took three scalar calls.
     path = Path(__file__).resolve().parents[1] / "configs" / "lasso_triple.json"
     graph = graph_from_json(path)[0]
     with mock.patch.object(spectrum, "charfn_for", wraps=spectrum.charfn_for) as calls:
         roots = find_eigenvalues(graph, Problem.neumann(), 60.0)
-    assert len(roots) == 150
-    assert sum(np.ndim(c.args[2]) > 0 for c in calls.call_args_list) <= 11
+    assert len(roots) == 150 and roots[0] == (0.0, 2)
+    shapes = [np.shape(c.args[2]) for c in calls.call_args_list]
+    assert len(shapes) <= 12 and () not in shapes
 
 
 
