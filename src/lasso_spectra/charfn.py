@@ -14,11 +14,13 @@ multiplicity) are the eigenvalues. So each pendant propagates only the column
 of its pair, and the cycle both columns.
 
 An evaluation runs on the graph's compiled plan (ValidatedGraph.plan): one
-propagate.Steps per call (one sqrt, one (phi0, phi1) pair per distinct segment
-length), then each wanted column once per group of edges with equal segments,
-so equal pendants propagate once; no per-segment object is built. Every
-characteristic-function value goes through it, a frame's free d_0 included
-(trigpoly.AsymptoticFrame.eval_lambda); a scalar lambda gives a float.
+propagate.Steps per call (one sqrt, one trig pair per generator length, the
+lengths that are sums of two shorter ones following by the group law of the
+free step matrices), then each wanted column once per group of edges with
+equal segments, so equal pendants propagate once; no per-segment object is
+built. Every characteristic-function value goes through it, a frame's free
+d_0 included (trigpoly.AsymptoticFrame.eval_lambda); a scalar lambda gives a
+float.
 
 Sign convention: the global (-1)^p matches the closed form of the
 zero-potential function, so that the ratio of perturbed to free
@@ -52,7 +54,7 @@ def _evaluate(graph: ValidatedGraph, lam, j: int):
     pendant the column of its end pair. Edges with equal segments share
     their columns (ValidatedGraph.plan), so equal pendants propagate once."""
     plan = graph.plan
-    at = Steps(lam, plan.lengths)
+    at = Steps(lam, plan.lengths, plan.sums)
     columns = {}
 
     def column(k: int, name: str):

@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 verification failure, 2 config/input error,
 Each command imports the modules it uses when it runs, so `charfn` loads
 neither the root scan nor the frame, the reconstruction or the oracle.
 
-CSV rows of floats are written in shortest round-trip form (`repr`). Most of
-a large grid's run is that formatting, so float_csv splits a grid of at least
+Floats are written in shortest round-trip form (`repr`), in CSV rows or, for
+`charfn --format json`, in JSON arrays. Most of a large grid's run is that
+formatting, so float_csv and float_json split a grid of at least
 2 * MIN_ROWS_PER_PART rows into contiguous parts, up to one per usable CPU,
-and formats all but the first in forked children. The parent joins the parts
+and format all but the first in forked children. The parent joins the parts
 in order and formats any part a child failed to deliver itself: the bytes are
 those of a one-CPU run.
 """
@@ -23,6 +24,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,9 +135,15 @@ def _format_rows(columns: list[list[float]], start: int, stop: int) -> bytes:
     return "".join([row % values for values in zip(*(c[start:stop] for c in columns))]).encode()
 
 
-def _fork_part(columns, start: int, stop: int):
-    """A child formatting rows start:stop into a pipe: (pid, read end), or
-    None if it could not be started."""
+def _format_items(columns: list[list[float]], start: int, stop: int) -> bytes:
+    """Items start:stop of each column as JSON array text (reprs joined by
+    ", "), one line per column."""
+    return "\n".join([", ".join(map(repr, c[start:stop])) for c in columns]).encode()
+
+
+def _fork_part(format_part, start: int, stop: int):
+    """A child writing format_part(start, stop) into a pipe: (pid, read end),
+    or None if it could not be started."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -157,7 +165,7 @@ def _fork_part(columns, start: int, stop: int):
         code = 1
         try:
             os.close(read_end)
-            data = _format_rows(columns, start, stop)
+            data = format_part(start, stop)
             with open(write_end, "wb") as pipe:
                 pipe.write(len(data).to_bytes(8, "little") + data)
             code = 0
@@ -168,7 +176,7 @@ def _fork_part(columns, start: int, stop: int):
 
 
 def _collect(pid: int, read_end: int) -> bytes | None:
-    """A child's rows, or None if it failed or delivered short data."""
+    """A child's part, or None if it failed or delivered short data."""
     with open(read_end, "rb") as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
@@ -178,25 +186,45 @@ def _collect(pid: int, read_end: int) -> bytes | None:
     return data[8:]
 
 
-def float_csv(header: str, *columns) -> bytes:
-    """The header and one row per index of the float columns, each value in
-    shortest round-trip form (repr). Up to one part of the rows per usable
-    CPU is formatted in a forked child, and the bytes do not depend on the
-    part count."""
-    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
-    rows = len(columns[0])
+def _in_parts(format_part, rows: int) -> list[bytes]:
+    """format_part(start, stop) over contiguous parts of range(rows), in
+    order: up to one part per usable CPU, at least MIN_ROWS_PER_PART rows
+    each, all but the first formatted in forked children. The parent formats
+    any part a child failed to deliver itself."""
     parts = max(1, min(_usable_cpus(), rows // MIN_ROWS_PER_PART))
     bounds = [rows * i // parts for i in range(parts + 1)]
-    children = [_fork_part(columns, bounds[i], bounds[i + 1]) for i in range(1, parts)]
+    children = [_fork_part(format_part, bounds[i], bounds[i + 1]) for i in range(1, parts)]
     try:
-        first = _format_rows(columns, 0, bounds[1])
+        first = format_part(0, bounds[1])
     finally:
         delivered = [_collect(*child) if child else None for child in children]
     rest = [
-        data if data is not None else _format_rows(columns, start, stop)
+        data if data is not None else format_part(start, stop)
         for data, start, stop in zip(delivered, bounds[1:], bounds[2:])
     ]
-    return b"".join([(header + "\n").encode(), first, *rest])
+    return [first, *rest]
+
+
+def float_csv(header: str, *columns) -> bytes:
+    """The header and one row per index of the float columns, each value in
+    shortest round-trip form (repr), formatted in parts (_in_parts): the
+    bytes do not depend on the part count."""
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    parts = _in_parts(partial(_format_rows, columns), len(columns[0]))
+    return b"".join([(header + "\n").encode(), *parts])
+
+
+def float_json(names, *columns) -> bytes:
+    """json.dumps({name: column.tolist(), ...}) + "\n" for finite float
+    columns of equal length, the number text formatted in parts (_in_parts)
+    as float_csv's is: the bytes do not depend on the part count."""
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    parts = [part.split(b"\n") for part in _in_parts(partial(_format_items, columns), len(columns[0]))]
+    arrays = [
+        json.dumps(name).encode() + b": [" + b", ".join(texts) + b"]"
+        for name, texts in zip(names, zip(*parts))
+    ]
+    return b"{" + b", ".join(arrays) + b"}\n"
 
 
 def _write(data: bytes, out: str | None):
@@ -239,7 +267,7 @@ def cmd_charfn(args) -> int:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("characteristic function overflowed on the grid")
     if args.format == "json":
-        _write((json.dumps({label: grid.tolist(), "delta": values.tolist()}) + "\n").encode(), args.out)
+        _write(float_json((label, "delta"), grid, values), args.out)
     else:
         _write(float_csv(f"{label},delta", grid, values), args.out)
     return 0

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadBreakpoints, BadIndex, IrrationalLength, NoPendantEdge
-from .propagate import compile_steps
+from .propagate import compile_steps, compile_sums
 
 UNITS = {"1": 1.0, "pi": math.pi}
 
@@ -98,12 +98,14 @@ class EdgeSpec:
         if self.role not in ("cycle", "pendant"):
             raise BadBreakpoints(f"unknown edge role {self.role!r}")
 
+    def pieces(self) -> tuple[tuple[float, Fraction], ...]:
+        """The constant-sigma pieces as (sigma, exact length in the unit) pairs."""
+        bp = self.potential.breakpoints
+        return tuple((sigma, hi - lo) for sigma, lo, hi in zip(self.potential.values, bp, bp[1:]))
+
     def segments(self, unit: float = 1.0) -> tuple[tuple[float, float], ...]:
         """The constant-sigma pieces as float (sigma, physical length) pairs."""
-        bp = self.potential.breakpoints
-        return tuple(
-            (sigma, float(hi - lo) * unit) for sigma, lo, hi in zip(self.potential.values, bp, bp[1:])
-        )
+        return tuple((sigma, float(h) * unit) for sigma, h in self.pieces())
 
 
 @dataclass(frozen=True)
@@ -118,12 +120,15 @@ class GraphSpec:
 @dataclass(frozen=True)
 class EvalPlan:
     """An evaluation plan: the distinct segment lengths, each edge's steps as
-    (sigma, index into lengths), and for each edge the first edge with equal
-    segments, whose propagated columns it shares."""
+    (sigma, index into lengths), for each edge the first edge with equal
+    segments, whose propagated columns it shares, and the lengths that are
+    sums of two shorter ones (propagate.compile_sums, decided on the exact
+    lengths), whose trig pair follows from theirs by the group law."""
 
     lengths: tuple[float, ...]
     steps: tuple[tuple[tuple[float, int], ...], ...]
     same: tuple[int, ...]
+    sums: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -150,10 +155,11 @@ class ValidatedGraph:
     def plan(self) -> EvalPlan:
         """What one evaluation of the characteristic function needs, compiled
         once per graph from the segments."""
-        lengths, steps = compile_steps(self.segments)
+        exact, steps = compile_steps(e.pieces() for e in self.edges)
+        lengths = tuple(float(h) * self.unit_value for h in exact)  # as in the segments
         first = {}
         same = tuple(first.setdefault(segs, k) for k, segs in enumerate(self.segments))
-        return EvalPlan(lengths, steps, same)
+        return EvalPlan(lengths, steps, same, compile_sums(exact))
 
     def edge_length(self, j: int) -> float:
         """Physical length of edge j as a float."""

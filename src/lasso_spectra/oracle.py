@@ -595,9 +595,18 @@ def _solve(op: DiscreteOperator, count: int, coarse=None):
 
 def richardson_eigs(graph, problem: Problem, count: int, points_per_unit: float) -> np.ndarray:
     """Eigenvalues extrapolated over grids h and h/2 (cancels the h^2 term). The fine
-    grid doubles each edge's node count, and its solve continues the coarse one."""
+    grid doubles each edge's node count, and its solve continues the coarse one.
+    A coarse grid with no chain rows, or fewer than count - 1 (count eigenvalues
+    with the vertex row), raises GridTooCoarse."""
     if count < 0:
         raise ValueError(f"count = {count} < 0")
-    coarse = _solve(discretize(graph, problem, points_per_unit), count)
+    op = discretize(graph, problem, points_per_unit)
+    rows = sum(m for runs in op.chains for _, _, m in runs)
+    if rows == 0 or rows < count - 1:
+        raise GridTooCoarse(
+            f"{rows} chain rows at points_per_unit = {points_per_unit}, "
+            f"too few for {count} eigenvalues on the coarse grid"
+        )
+    coarse = _solve(op, count)
     fine = _solve(discretize(graph, problem, points_per_unit, refine=2), count, coarse)[0]
     return (4.0 * fine - coarse[0]) / 3.0

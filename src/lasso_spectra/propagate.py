@@ -10,11 +10,18 @@ endpoint values of the fundamental solutions C (state (1,0) at x=0) and S
 
 Edges are compiled once (compile_steps; ValidatedGraph.plan for a whole graph)
 into steps (sigma, index of the segment length among the distinct lengths).
-One evaluation (Steps) takes one sqrt of lambda, one (phi0, phi1) pair per
-distinct length and -(sigma^2 + lambda) once per distinct sigma, and then
-propagates each wanted column of the step product on its own, with the
-products of the whole matrix; a sigma = 0 step needs only its lower-left
-entry, one multiply. No per-segment object is built.
+The free step matrix [[phi0, phi1], [-lambda phi1, phi0]] is a one-parameter
+group in h, P(a + b) = P(a) P(b), and the lengths of a commensurable lasso are
+often sums of one another: compile_sums finds, on the exact lengths, each
+one that is the sum of two shorter ones. One evaluation (Steps) takes one
+sqrt of lambda, one trig pair per generator length (the others follow by the
+group law, with no cos/cosh branch, no division by rho and no series) and
+-(sigma^2 + lambda) once per distinct sigma, and then propagates each wanted
+column of the step product on its own, with the products of the whole
+matrix; a sigma = 0 step needs only its lower-left entry, one multiply. No
+per-segment object is built. Without sums (a lone edge in
+fundamental_solutions, or lengths with no sum relation) every distinct
+length takes its trig pair.
 
 Steps works on a float array of lambda; fundamental_solutions evaluates a
 scalar as a one-element array and returns floats. All functions are pure.
@@ -32,12 +39,17 @@ import numpy as np
 SERIES_SWITCH = 1e-4
 
 
-def _phi_pairs(lam: np.ndarray, lengths) -> list:
+def _phi_pairs(lam: np.ndarray, lengths, sums=()) -> list:
     """The pair (phi0, phi1) = (cos(rho h), sin(rho h)/rho), lambda = rho^2, for
     each h in lengths, lam a float ndarray of at least one dimension. Negative
     lambda continues to cosh/sinh, and the lambda -> 0 limit is (1, h): entire
     in lambda. One sqrt serves every length; |lambda| h^2 <= SERIES_SWITCH
-    takes the Taylor series."""
+    takes the Taylor series.
+
+    sums (compile_sums) lists lengths as (k, i, j), lengths[k] the sum of
+    lengths[i] and lengths[j]: those pairs follow from the group law
+    (_sum_pair), in that order, and only the other lengths take trig."""
+    derived = {k for k, _, _ in sums}
     lo = lam.min(initial=np.inf)
     # With every lambda > 0 only the sign of the largest matters below.
     hi = lo if lo > 0 else lam.max(initial=-np.inf)
@@ -49,10 +61,12 @@ def _phi_pairs(lam: np.ndarray, lengths) -> list:
     pos = lam > 0 if below and above else None  # a mask only where both occur
     # r = 0 only at lambda = 0, which the series takes.
     nonzero = None if lo > 0 or hi < 0 else r != 0.0
-    pairs = []
+    pairs = [None] * len(lengths)
     # Beyond kappa*h ~ 709 the honest value of cosh and sinh is inf.
     with np.errstate(over="ignore") if below else nullcontext():
-        for h in lengths:
+        for k, h in enumerate(lengths):
+            if k in derived:
+                continue
             rh = r * h
             if pos is not None:
                 phi0 = np.where(pos, np.cos(rh), np.cosh(rh))
@@ -70,8 +84,27 @@ def _phi_pairs(lam: np.ndarray, lengths) -> list:
             hh = h * h
             if not (lo * hh > SERIES_SWITCH or hi * hh < -SERIES_SWITCH):
                 _series(lam * hh, h, phi0, phi1)
-            pairs.append((phi0, phi1))
+            pairs[k] = (phi0, phi1)
+        for k, i, j in sums:
+            pairs[k] = _sum_pair(lam, pairs[i], pairs[j])
     return pairs
+
+
+def _sum_pair(lam, a, b):
+    """(phi0, phi1) at the sum of two lengths from theirs: the step matrix
+    [[phi0, phi1], [-lambda phi1, phi0]] is a one-parameter group in h, so
+    phi0(a + b) = phi0(a) phi0(b) - lambda phi1(a) phi1(b) and
+    phi1(a + b) = phi1(a) phi0(b) + phi0(a) phi1(b), for either sign of lambda.
+    phi1(a) phi1(b) is formed before lambda multiplies it, so no term
+    overflows unless the result does."""
+    (a0, a1), (b0, b1) = a, b
+    lam_term = a1 * b1
+    lam_term *= lam
+    phi0 = a0 * b0
+    phi0 -= lam_term
+    phi1 = a1 * b0
+    phi1 += np.multiply(a0, b1, out=lam_term)
+    return phi0, phi1
 
 
 def _series(z, h, phi0, phi1):
@@ -97,17 +130,41 @@ def compile_steps(edges):
     return tuple(index), steps
 
 
+def compile_sums(lengths) -> tuple[tuple[int, int, int], ...]:
+    """The lengths (exact, e.g. Fractions) whose (phi0, phi1) follow from two
+    shorter ones by the group law, as (k, i, j) with lengths[k] = lengths[i] +
+    lengths[j] (i = j for a doubling), shortest k first, so that each pair is
+    derived after its summands. Of several such sums the one of least depth
+    (derivations down to the generators, the lengths that take trig) is
+    taken, the most even split on a tie."""
+    index = {h: k for k, h in enumerate(lengths)}
+    depth, sums = {}, []
+    for h in sorted(index):
+        best = None
+        for a in sorted(a for a in depth if a + a >= h):  # the most even split first
+            if h - a in depth:
+                d = max(depth[a], depth[h - a]) + 1
+                if best is None or d < best[0]:
+                    best = (d, index[h - a], index[a])
+        depth[h] = 0 if best is None else best[0]
+        if best is not None:
+            sums.append((index[h], *best[1:]))
+    return tuple(sums)
+
+
 class Steps:
     """The step coefficients of one evaluation at lambda, a float ndarray of
-    at least one dimension: (phi0, phi1) once per distinct segment length,
-    -(sigma^2 + lambda) once per distinct sigma, all elementwise.
+    at least one dimension: (phi0, phi1) once per distinct segment length, by
+    one trig pair per generator length and the group law for the lengths in
+    sums (compile_sums), and -(sigma^2 + lambda) once per distinct sigma, all
+    elementwise.
     """
 
     __slots__ = ("lam", "phis", "_shifts")
 
-    def __init__(self, lam: np.ndarray, lengths):
+    def __init__(self, lam: np.ndarray, lengths, sums=()):
         self.lam = lam
-        self.phis = _phi_pairs(lam, lengths)
+        self.phis = _phi_pairs(lam, lengths, sums)
         self._shifts = {}
 
     def _shift(self, sigma: float):

@@ -10,7 +10,9 @@ with the same tangential detection and hence the same multiplicity count.
 Cataloging assigns every root (counted with multiplicity) to the nearest
 unperturbed grid point within half the minimal grid gap; the assignment must
 be a bijection onto the grid restricted to rho <= rho_max, otherwise the scan
-or the assignment is reported as failed rather than silently patched.
+or the assignment is reported as failed rather than silently patched. The
+assignment runs on arrays of the roots and the slots, and the entries
+(CatalogEntry, a named tuple) are made from its columns at the end.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +127,12 @@ def negative_eigenvalues(graph, problem: Problem, frame: AsymptoticFrame | None 
     return sorted(lams)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
+    """One eigenvalue on its grid slot (n, k): lambda, its rho and the slot's
+    rho0, eps = rho - rho0, and the root multiplicity. A named tuple, so that
+    a catalog builds its hundreds of entries at tuple speed: equality and
+    hash are those of the tuple of its values, and the repr names the fields."""
+
     n: int
     k: int
     lam: float
@@ -133,22 +140,6 @@ class CatalogEntry:
     rho0: float
     eps: float
     multiplicity: int
-
-    def __init__(self, n, k, lam, rho, rho0, eps, multiplicity):
-        # The generated frozen __init__ looks object.__setattr__ up again for
-        # every field; a catalog builds hundreds of entries at once. Slots,
-        # not an instance dict: a dict written directly would be faster still,
-        # but would cost every entry a materialized dict.
-        _setattr(self, "n", n)
-        _setattr(self, "k", k)
-        _setattr(self, "lam", lam)
-        _setattr(self, "rho", rho)
-        _setattr(self, "rho0", rho0)
-        _setattr(self, "eps", eps)
-        _setattr(self, "multiplicity", multiplicity)
-
-
-_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -210,18 +201,22 @@ def catalog_spectrum(
     k, n, rho0 = frame.slot_arrays(rho_max)
     window = frame.window()
 
-    odd = [mult for rho, mult in eigs if rho == 0.0 and mult % 2]
-    if odd:
-        raise UnresolvedMultiplicity(f"odd rho-order {odd[0]} at rho = 0")
-    # One row per root: the rho it is matched by, its lambda, its root
+    root_rho, root_mult = np.array(list(zip(*eigs)), dtype=float).reshape(2, -1)
+    odd = root_mult[(root_rho == 0.0) & (root_mult % 2 == 1)]
+    if odd.size:
+        raise UnresolvedMultiplicity(f"odd rho-order {int(odd[0])} at rho = 0")
+    # Per root, as arrays: the rho it is matched by, its lambda, its root
     # multiplicity and the slots it fills. A double negative eigenvalue is
-    # listed twice: the run length is the multiplicity. A zero of d of order
-    # 2m at rho = 0 is the lambda = 0 eigenvalue of multiplicity m.
-    rows = [(0.0, lam, m, m) for lam, m in Counter(negatives).items()]
-    rows += [(float(rho), float(rho) ** 2, m, m // 2 if rho == 0.0 else m) for rho, m in eigs]
-    rows = np.array(rows, dtype=float).reshape(-1, 4)
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    rho, lam, mult = np.repeat(rows[:, :3], rows[:, 3].astype(int), axis=0).T
+    # listed twice: it fills as many slots as its multiplicity. A zero of d
+    # of order 2m at rho = 0 is the lambda = 0 eigenvalue of multiplicity m.
+    neg_lam, neg_mult = np.array(list(zip(*Counter(negatives).items())), dtype=float).reshape(2, -1)
+    rho = np.concatenate([np.zeros(neg_lam.size), root_rho])
+    # C pow, bit for bit float(rho) ** 2 (rho * rho differs in the last bit now and then).
+    lam = np.concatenate([neg_lam, np.float_power(root_rho, 2)])
+    mult = np.concatenate([neg_mult, root_mult])
+    fills = np.concatenate([neg_mult, np.where(root_rho == 0.0, root_mult // 2, root_mult)])
+    order = np.lexsort((lam, rho))
+    rho, lam, mult = np.repeat(np.array([rho, lam, mult])[:, order], fills[order].astype(int), axis=1)
 
     if k.size:
         keep = rho <= rho0[-1] + window
@@ -259,7 +254,7 @@ def catalog_spectrum(
     np.copyto(rho, rho0, where=snap)
     np.copyto(lam, rho0 * rho0, where=snap)
     columns = (n, k, lam, rho, rho0, rho - rho0, mult.astype(int))
-    entries = tuple(map(CatalogEntry, *(v.tolist() for v in columns)))
+    entries = tuple(map(CatalogEntry._make, zip(*(v.tolist() for v in columns))))
     violations = tuple(compress(entries, outside.tolist()))
     return SpectrumCatalog(entries, frame, rho_max, problem_label, violations, (k, n, lam, rho0))
 

@@ -3,11 +3,13 @@
 The tests' reference for the compiled evaluation: phi_pair per length on its
 own branches, one StateMatrix per segment, their ordered product per edge and
 `charfn.assemble` on the result. Bytes equal to the compiled evaluation
-wherever they are finite.
+wherever they are finite and its plan derives no length by the group law.
+mp_fundamental is the same step product in mpmath, for accuracy references.
 """
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from lasso_spectra.charfn import assemble
@@ -114,3 +116,54 @@ def charfn(graph, j: int, lam):
     shared by the edges."""
     phis = phi_table([h for segs in graph.segments for _, h in segs], lam)
     return assemble([fundamental_solutions(segs, lam, phis) for segs in graph.segments], j)
+
+
+def magnitude(graph, j: int, lam):
+    """The scale of the rounding of assemble on the step products: its
+    polynomial with every term taken in absolute value, on the products of
+    the step matrices taken entry by entry in absolute value."""
+    lam = _lam_value(lam)
+    fs = []
+    for segs in graph.segments:
+        m = None
+        for sigma, h in segs:
+            step = step_matrix(sigma, h, lam)
+            step = StateMatrix(abs(step.a), abs(step.b), abs(step.c), abs(step.d))
+            m = step if m is None else step @ m
+        fs.append(FundamentalSolution(C=m.a, C1=m.c, S=m.b, S1=m.d))
+    return term_scale(fs, j)
+
+
+def term_scale(fs, j: int):
+    """assemble(fs, j) with each of its terms in absolute value."""
+    ends = [(abs(f.S), abs(f.S1)) if k == j else (abs(f.C), abs(f.C1)) for k, f in enumerate(fs) if k]
+    prod, star = ends[0]
+    for u, du in ends[1:]:
+        star = star * u + prod * du
+        prod = prod * u
+    return abs(fs[0].S) * star + (abs(fs[0].C) + abs(fs[0].S1) + 2) * prod
+
+
+def mp_fundamental(graph, lam) -> list:
+    """Every edge's (C, C1, S, S1) at lam, as the step product in mpmath at its
+    working precision, from the exact lengths (times pi at that precision)."""
+    lam = mpmath.mpf(lam)
+    unit = mpmath.pi if graph.length_unit == "pi" else mpmath.mpf(1)
+    fs = []
+    for edge in graph.edges:
+        a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for sigma, h in edge.pieces():
+            h = mpmath.mpf(h.numerator) / h.denominator * unit
+            if lam > 0:
+                rho = mpmath.sqrt(lam)
+                phi0, phi1 = mpmath.cos(rho * h), mpmath.sin(rho * h) / rho
+            elif lam < 0:
+                kappa = mpmath.sqrt(-lam)
+                phi0, phi1 = mpmath.cosh(kappa * h), mpmath.sinh(kappa * h) / kappa
+            else:
+                phi0, phi1 = mpmath.mpf(1), h
+            sigma = mpmath.mpf(sigma)
+            sa, sb, sc, sd = phi0 + phi1 * sigma, phi1, -phi1 * (sigma * sigma + lam), phi0 - phi1 * sigma
+            a, b, c, d = sa * a + sb * c, sa * b + sb * d, sc * a + sd * c, sc * b + sd * d
+        fs.append(FundamentalSolution(C=a, C1=c, S=b, S1=d))
+    return fs

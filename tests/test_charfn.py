@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import propagate_reference
 import pytest
@@ -144,22 +146,52 @@ def test_charfn_for_dispatch(pi_lasso):
     assert charfn_for(pi_lasso, Problem.dirichlet(2), lam) == assemble(fs, 2)
 
 
+# The compiled evaluation against the step products where its plan derives a
+# length by the group law: both round the trig arguments rho h (relative
+# eps) and then the terms of the polynomial, so they differ by up to
+# SUM_TOL x (1 + sqrt|lambda| x the total length) x the terms' scale
+# (propagate_reference.magnitude); the largest seen in 7,000 random lassos
+# was 177 eps.
+SUM_TOL = 1024 * np.finfo(float).eps
+
+
+def assert_like_step_products(graph, j, lam, got, want):
+    """got is want byte for byte where want is finite, or within SUM_TOL of
+    it where graph's plan derives a length; non-finite where want is."""
+    finite = np.isfinite(want)
+    if graph.plan.sums:
+        total = sum(graph.edge_length(k) for k in range(graph.p + 1))
+        bound = propagate_reference.magnitude(graph, j, lam) * (1.0 + np.sqrt(np.abs(lam)) * total)
+        bound = np.broadcast_to(bound, want.shape)
+        assert np.all(np.abs(got[finite] - want[finite]) <= SUM_TOL * bound[finite])
+    else:
+        assert got[finite].tobytes() == want[finite].tobytes()
+    assert not np.isfinite(got[~finite]).any()
+
+
 def test_blocked_evaluation_matches_whole_array(delta_lasso):
-    """Arrays longer than BLOCK_POINTS are evaluated block by block, and each
-    pendant propagates only the column that assemble reads; the values are
-    those of the whole propagators over the whole array, byte for byte."""
+    """Arrays longer than BLOCK_POINTS are evaluated block by block, with the
+    bytes of one whole-array evaluation. Each pendant propagates only the
+    column that assemble reads; the values are those of the whole
+    propagators over the whole array, byte for byte where the plan derives
+    no length. delta_lasso's segments are pi and pi / 2, so pi is derived;
+    the other graph's are 1, 3/10 and 4/10, none a sum of two."""
+    trig_only = lasso_graph(1, ["7/10", 1], potentials=[None, delta_potential("7/10", "3/10", 0.5), None])
+    assert delta_lasso.plan.sums and not trig_only.plan.sums
     n = 3 * charfn.BLOCK_POINTS + 17
     lam = np.concatenate(
         [np.linspace(-400.0, -1e-3, n // 3), np.linspace(-1e-5, 1e-5, 101), np.linspace(0.0, 4e4, n - n // 3 - 101)]
     )
-    fs = [fundamental_solutions(segs, lam) for segs in delta_lasso.segments]
-    for problem in (Problem.neumann(), Problem.dirichlet(1), Problem.dirichlet(2)):
-        whole = assemble(fs, problem.j)
-        got = charfn_for(delta_lasso, problem, lam)
-        assert got.tobytes() == whole.tobytes()
-        square = charfn_for(delta_lasso, problem, lam[: 90 * 90].reshape(90, 90))
-        assert square.shape == (90, 90)
-        assert square.tobytes() == whole[: 90 * 90].tobytes()
+    for graph in (delta_lasso, trig_only):
+        fs = [fundamental_solutions(segs, lam) for segs in graph.segments]
+        for problem in (Problem.neumann(), Problem.dirichlet(1), Problem.dirichlet(2)):
+            whole = charfn._evaluate(graph, lam, problem.j)
+            got = charfn_for(graph, problem, lam)
+            assert got.tobytes() == whole.tobytes()
+            assert_like_step_products(graph, problem.j, lam, got, assemble(fs, problem.j))
+            square = charfn_for(graph, problem, lam[: 90 * 90].reshape(90, 90))
+            assert square.shape == (90, 90)
+            assert square.tobytes() == whole[: 90 * 90].tobytes()
 
 
 _LENGTHS = st.fractions(min_value="1/4", max_value=3, max_denominator=4)
@@ -216,9 +248,10 @@ _LAMBDAS = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(graph=_lassos(), lams=_LAMBDAS)
 def test_compiled_evaluation_matches_segment_products(graph, lams):
-    """L and every Lj equal assemble on the per-segment step products, byte
-    for byte where those are finite, and are non-finite where they are not;
-    for a scalar lambda as for the array."""
+    """L and every Lj equal assemble on the per-segment step products where
+    those are finite (byte for byte where the plan derives no length, else
+    within SUM_TOL), and are non-finite where they are not; for a scalar
+    lambda as for the array."""
     lam = np.array(lams)
     for j in range(graph.p + 1):
         problem = Problem.dirichlet(j) if j else Problem.neumann()
@@ -227,11 +260,9 @@ def test_compiled_evaluation_matches_segment_products(graph, lams):
             got = charfn_for(graph, problem, lam)
             want0 = propagate_reference.charfn(graph, j, lams[0])
             got0 = charfn_for(graph, problem, lams[0])
-        assert type(got0) is float
-        for got, want in ((got, want), (np.array([got0]), np.array([want0]))):
-            finite = np.isfinite(want)
-            assert got[finite].tobytes() == want[finite].tobytes()
-            assert not np.isfinite(got[~finite]).any()
+            assert type(got0) is float
+            for x, got, want in ((lam, got, want), (lam[:1], np.array([got0]), np.array([want0]))):
+                assert_like_step_products(graph, j, x, got, want)
 
 
 def test_equal_pendants_propagate_once(monkeypatch):
@@ -255,8 +286,121 @@ def test_equal_pendants_propagate_once(monkeypatch):
         columns.clear()
         got = charfn_for(graph, Problem.dirichlet(j) if j else Problem.neumann(), lam)
         assert columns == want
-        assert got.tobytes() == propagate_reference.charfn(graph, j, lam).tobytes()
+        # 2/3 = 1/3 + 1/3 is derived: the values within SUM_TOL.
+        assert_like_step_products(graph, j, lam, got, propagate_reference.charfn(graph, j, lam))
     free = lasso_graph(1, [1, 1], length_unit="pi")
     columns.clear()
     charfn_for(free, Problem.neumann(), lam)
     assert columns == ["C", "S"]
+
+
+@st.composite
+def _commensurable_lassos(draw):
+    """p = 1..4; every edge length n/d <= 1 (d <= 12, one d per graph, so that
+    sums recur), unit 1 or pi; on each edge up to two breakpoints at multiples
+    of 1/d, sigma starting and jumping by up to |20|."""
+    d = draw(st.integers(1, 12))
+    jumps = st.floats(min_value=-20.0, max_value=20.0)
+    lengths, potentials = [], []
+    for _ in range(draw(st.integers(2, 5))):  # the cycle and p pendants
+        n = draw(st.integers(1, d))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+        values = [draw(jumps)]
+        for _ in cuts:
+            values.append(values[-1] + draw(jumps))
+        breakpoints = (0, *(Fraction(c, d) for c in cuts), Fraction(n, d))
+        lengths.append(Fraction(n, d))
+        potentials.append(PotentialSpec(breakpoints, tuple(values)))
+    unit = draw(st.sampled_from(["1", "pi"]))
+    return lasso_graph(lengths[0], lengths[1:], potentials=potentials, length_unit=unit)
+
+
+# Below 0, the series region (|lambda| h^2 <= 1e-4 for every h <= pi) with
+# +-0.0, above 0, and a nan, which must leave the other points as they are.
+_ACCURACY_LAMBDAS = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e3, max_value=1e4),
+        st.floats(min_value=-1e-5, max_value=1e-5),
+        st.sampled_from([0.0, -0.0, np.nan]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _no_less_accurate_than_per_length_trig(graph, lams):
+    """Against a 40-digit mpmath step product, charfn_for's largest error on
+    L and every Lj is at most twice the per-length path's (one trig pair per
+    distinct length, propagate_reference) plus 16 eps of the largest
+    rounding scale, and it is finite wherever that path is."""
+    lam = np.array(lams)
+    total = sum(graph.edge_length(k) for k in range(graph.p + 1))
+    with mpmath.workdps(40):
+        exact = [mpmath.nan if math.isnan(x) else propagate_reference.mp_fundamental(graph, x) for x in lams]
+        for j in range(graph.p + 1):
+            with np.errstate(all="ignore"):
+                got = charfn_for(graph, Problem.dirichlet(j) if j else Problem.neumann(), lam)
+                trig = propagate_reference.charfn(graph, j, lam)
+            finite = np.isfinite(trig)
+            assert np.isfinite(got[finite]).all()
+            want = [assemble(fs, j) for fs, keep in zip(exact, finite) if keep]
+            if not want:
+                continue
+
+            def error(values):
+                return max(float(abs(mpmath.mpf(x) - w)) for x, w in zip(values[finite].tolist(), want))
+
+            # Not 16 eps of |mp| alone: either path rounds the trig arguments
+            # rho h and then the function's terms, which near a zero of the
+            # function are larger than its value (see SUM_TOL).
+            scale = np.max((propagate_reference.magnitude(graph, j, lam) * (1.0 + np.sqrt(np.abs(lam)) * total))[finite])
+            assert error(got) <= 2.0 * error(trig) + 16 * np.finfo(float).eps * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=_commensurable_lassos(), lams=_ACCURACY_LAMBDAS)
+def test_group_law_is_as_accurate_as_trig_per_length(graph, lams):
+    _no_less_accurate_than_per_length_trig(graph, lams)
+
+
+@pytest.mark.sweep
+@settings(max_examples=1500, deadline=None)
+@given(graph=_commensurable_lassos(), lams=_ACCURACY_LAMBDAS)
+def test_group_law_accuracy_sweep(graph, lams):
+    _no_less_accurate_than_per_length_trig(graph, lams)
+
+
+@pytest.mark.parametrize(
+    "lengths, generators",
+    [
+        (["1/3", "2/3", 1], ["1/3"]),
+        (["1/4", "3/4", 1], ["1/4", "3/4"]),
+        (["97/100", 1], ["97/100", 1]),
+        # 0.1 + 0.2 != 0.3 in floats: sums are decided on the exact lengths.
+        (["1/10", "2/10", "3/10"], ["1/10"]),
+    ],
+)
+def test_plan_derives_each_sum_of_shorter_lengths(lengths, generators):
+    """Trig only for the generators; every other length is the sum of two
+    lengths before it in the plan's order of derivation."""
+    plan = lasso_graph(lengths[0], lengths[1:]).plan
+    derived = [k for k, _, _ in plan.sums]
+    assert sorted(h for k, h in enumerate(plan.lengths) if k not in derived) == [
+        float(Fraction(x)) for x in generators
+    ]
+    assert len(derived) == len(lengths) - len(generators)
+    for n, (k, i, j) in enumerate(plan.sums):
+        assert i not in derived[n:] and j not in derived[n:]
+        assert math.isclose(plan.lengths[k], plan.lengths[i] + plan.lengths[j], rel_tol=1e-15)
+    assert 0.1 + 0.2 != 0.3
+
+
+def test_graph_without_sums_evaluates_by_trig_per_length():
+    """Where no length is a sum of two, every length takes its trig pair:
+    the values of the per-length path, byte for byte."""
+    graph = lasso_graph("97/100", [1, "3/4"], potentials=[None, delta_potential(1, "2/5", 2.5), None])
+    assert not graph.plan.sums
+    lam = np.r_[np.linspace(-800.0, 0.0, 301), -1e-7, 1e-7, np.linspace(0.0, 4e4, 301)]
+    for j in range(3):
+        got = charfn_for(graph, Problem.dirichlet(j) if j else Problem.neumann(), lam)
+        assert got.tobytes() == propagate_reference.charfn(graph, j, lam).tobytes()

@@ -628,6 +628,53 @@ def test_float_csv_is_the_row_loop_csv(monkeypatch, cpus, rows):
     assert len(forks) == 2 * (max(1, min(cpus, n // 40)) - 1)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("rows", ["0", "1", "min", "2min-1", "2min", "3min+1"])
+def test_float_json_is_json_dumps(monkeypatch, cpus, rows):
+    # In parts or not, the bytes are those of one json.dumps of the lists.
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = _count_forks(monkeypatch)
+    n = {"0": 0, "1": 1, "min": 40, "2min-1": 79, "2min": 80, "3min+1": 121}[rows]
+    columns = _columns(n, 2)
+    grid, values = np.where(np.isfinite(columns), columns, 0.5)  # JSON has no nan or inf
+    want = (json.dumps({"rho": grid.tolist(), "delta": values.tolist()}) + "\n").encode()
+    assert cli.float_json(("rho", "delta"), grid, values) == want
+    assert len(forks) == max(1, min(cpus, n // 40)) - 1
+
+
+def test_float_json_does_not_depend_on_a_child(monkeypatch):
+    # A child that fails leaves its part to the parent: the same bytes.
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    parent, format_items = os.getpid(), cli._format_items
+
+    def failing_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return format_items(*args)
+
+    monkeypatch.setattr(cli, "_format_items", failing_in_a_child)
+    forks = _count_forks(monkeypatch)
+    lam, values = np.linspace(-4.0, 9.0, 200), np.sin(np.linspace(0.0, 30.0, 200))
+    want = (json.dumps({"lambda": lam.tolist(), "delta": values.tolist()}) + "\n").encode()
+    assert cli.float_json(("lambda", "delta"), lam, values) == want
+    assert len(forks) == 2
+
+
+def test_charfn_json_is_json_dumps(capsys, monkeypatch):
+    # charfn --format json in three parts writes the bytes of one json.dumps.
+    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _count_forks(monkeypatch)
+    code, out, err = run(capsys, "charfn", "--config", DELTA, "--rho=0:3:0.01", "--format", "json")
+    assert code == 0 and err == "" and len(forks) == 2
+    graph, _ = graph_from_json(DELTA)
+    rho = 0.0 + 0.01 * np.arange(301)
+    values = charfn_for(graph, Problem.neumann(), rho * rho)
+    assert out == json.dumps({"rho": rho.tolist(), "delta": values.tolist()}) + "\n"
+
+
 def _charfn_and_reconstruct(tmp_path, capsys):
     """charfn (rho and lambda grids) and reconstruct (with and without
     potentials), each to stdout and with --out: {run: its CSV bytes}."""

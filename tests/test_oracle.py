@@ -65,6 +65,18 @@ def test_count_zero_and_negative(pi_lasso):
         richardson_eigs(pi_lasso, Problem.neumann(), -1, 60.0)
 
 
+def test_grid_without_enough_chain_rows_is_too_coarse():
+    # One element per edge at 50 points per unit: L's coarse grid has one
+    # chain row, the pendant's free end, so count 3 read a coarse start that
+    # did not exist (IndexError); L1's has none (ValueError from numpy).
+    graph = lasso_graph("1/100", ["1/100"])
+    with pytest.raises(GridTooCoarse):
+        richardson_eigs(graph, Problem.neumann(), 3, 50.0)
+    with pytest.raises(GridTooCoarse):
+        richardson_eigs(graph, Problem.dirichlet(1), 1, 50.0)
+    assert richardson_eigs(graph, Problem.neumann(), 2, 50.0).shape == (2,)
+
+
 def test_matrix_symmetric(delta_lasso):
     op = discretize(delta_lasso, Problem.neumann(), 50)
     a = _full(op)

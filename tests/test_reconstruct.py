@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -135,7 +134,7 @@ def test_covers_truncation_is_the_slot_set_inclusion(delta_lasso, problem):
     for i in range(0, len(cat.entries), 3):
         rest = cat.entries[:i] + cat.entries[i + 1 :]
         gone = cat.entries[i]
-        for entries in (cat.entries, rest, rest + (rest[0],), rest + (replace(gone, k=99),)):
+        for entries in (cat.entries, rest, rest + (rest[0],), rest + (gone._replace(k=99),)):
             edited = SpectrumCatalog(entries, frame, cat.rho_max)
             have = {(e.k, e.n) for e in entries}
             for n_max in range(8):
