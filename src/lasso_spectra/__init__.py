@@ -37,7 +37,6 @@ _EXPORTS = {
         "entries_from_csv",
         "epsilon_diagnostics",
         "find_eigenvalues",
-        "negative_eigenvalues",
     ),
     "trigpoly": (
         "AsymptoticFrame",

@@ -251,17 +251,20 @@ def _merge(xs, mults, tol):
     return list(zip(xs[first].tolist(), mult.tolist()))
 
 
-def scan_roots(fn, lo: float, hi: float, n_points: int):
-    """All roots of fn on [lo, hi] with multiplicity 1 (crossing) or 2 (touch).
+def scan_roots(fn, xs):
+    """All roots of fn on the grid xs (ascending) with multiplicity 1
+    (crossing) or 2 (touch).
 
-    fn must accept ndarrays. Roots closer than MERGE_FACTOR of the span are
-    merged, a split pair too: it then counts as one simple root, which the
-    caller's count check reports. Assumes at most two roots per scan cell
-    (the cell size is the caller's resolution contract).
+    fn must accept ndarrays. A NaN value is no evidence of a root: no sign
+    change, dip or grid hit is read at it, and the scan's scale is the
+    largest finite |fn| on the grid. Roots closer than MERGE_FACTOR of the
+    span are merged, a split pair too: it then counts as one simple root,
+    which the caller's count check reports. Assumes at most two roots per
+    scan cell (the cell size is the caller's resolution contract).
     """
-    xs = np.linspace(lo, hi, n_points + 1)
+    n_points = xs.size - 1
     ys = np.asarray(fn(xs), dtype=float)
-    scale = float(np.max(np.abs(ys)))
+    scale = float(np.max(np.abs(ys[np.isfinite(ys)]), initial=0.0))
     if scale == 0.0:
         raise ValueError("function is identically zero on the scan grid")
     sign = np.sign(ys)
@@ -303,4 +306,4 @@ def scan_roots(fn, lo: float, hi: float, n_points: int):
     # Earlier stages win position ties in the merge: an exact grid hit is exact.
     found = np.concatenate([xs[hits], roots, touches])
     mults = np.concatenate([hit_mult, np.ones(roots.size, dtype=int), np.full(touches.size, 2)])
-    return _merge(found, mults, MERGE_FACTOR * max(1.0, hi - lo)), scale
+    return _merge(found, mults, MERGE_FACTOR * max(1.0, xs[-1] - xs[0]))

@@ -121,7 +121,10 @@ def round_trip(graph, problem: Problem, catalog, n_max: int) -> Check:
         return _error(name, start, ROUND_TRIP_TOL, "catalog unavailable or too short")
     lams = np.array(catalog.lambdas())
     grid = np.linspace(-5.0, 9.0, 200)
-    grid = grid[np.array([np.min(np.abs(x - lams)) > 1e-2 for x in grid])]
+    # The nearest eigenvalue to each point is one of its two sorted neighbours.
+    i = np.searchsorted(lams, grid)
+    below, above = lams[np.maximum(i - 1, 0)], lams[np.minimum(i, lams.size - 1)]
+    grid = grid[np.minimum(np.abs(grid - below), np.abs(grid - above)) > 1e-2]
     result = hadamard_reconstruct(catalog, grid, n_max)
     report = compare(result, lambda lam: charfn_for(graph, problem, lam))
     return _check(name, start, report.max_rel, ROUND_TRIP_TOL, {"max_rel": report.max_rel})

@@ -50,7 +50,6 @@ CATALOG_ERRORS = (
     errors.ScanResolutionTooCoarse,
 )
 NUMERIC_ERRORS = (
-    errors.UnresolvedMultiplicity,
     errors.DegenerateLeadingTerm,
     errors.ConstantFunction,
     errors.NearPole,

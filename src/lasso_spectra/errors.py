@@ -29,10 +29,6 @@ class ConstantFunction(SpectraError):
     """Trigonometric polynomial has no positive-frequency term, hence no period."""
 
 
-class UnresolvedMultiplicity(SpectraError):
-    """The rho-order of the characteristic function's zero at rho = 0 is unresolved."""
-
-
 class ScanResolutionTooCoarse(SpectraError):
     """Fewer roots found than the unperturbed grid predicts: scan missed roots."""
 

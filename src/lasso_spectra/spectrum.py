@@ -1,11 +1,19 @@
 """Eigenvalue extraction and the (n, k) catalog against the unperturbed grid.
 
-Eigenvalues are zeros of d(rho) = charfn(rho^2, problem), found by dense scan
-with sign-change bracketing plus tangential-zero detection. A zero of d at
-rho = 0 (even order 2m in rho) is the lambda = 0 eigenvalue of multiplicity m.
-Perturbations can push the lambda ~ 0 group below zero where no real rho
-exists, so a second scan locates negative eigenvalues in kappa = sqrt(-lambda),
-with the same tangential detection and hence the same multiplicity count.
+Eigenvalues are zeros of the characteristic function d(lambda), found by one
+dense scan with sign-change bracketing plus tangential-zero detection, in the
+signed root t = sign(lambda) sqrt(|lambda|): lambda = t |t|, and t = rho for
+lambda >= 0. Across a zero of d of lambda-multiplicity m, d(t |t|) changes
+sign if m is odd and keeps its sign if m is even, lambda = 0 included, so
+every root's scan multiplicity is its lambda-multiplicity. Below zero d grows
+like exp(|t| * total length), and the scan reads it damped by that factor.
+
+The scan starts at a proved floor. The potential is sigma' in W_2^-1, and
+integrating by parts with the quasi-derivative y^[1] = y' - sigma y and the
+vertex conditions gives (Ly, y) = int |y^[1]|^2 - sigma^2 |y|^2 for L and for
+every Lj (Savchuk & Shkalikov, Math. Notes 66, 1999). Hence lambda >= -max
+sigma^2, and the scan runs from t = -sqrt(max sigma^2 + 1), below every
+eigenvalue.
 
 Cataloging assigns every root (counted with multiplicity) to the nearest
 unperturbed grid point within half the minimal grid gap; the assignment must
@@ -18,7 +26,6 @@ assignment runs on arrays of the roots and the slots, and the entries
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
@@ -27,18 +34,13 @@ import numpy as np
 
 from ._rootscan import scan_roots
 from .charfn import charfn_for
-from .errors import AssignmentAmbiguity, ScanResolutionTooCoarse, UnresolvedMultiplicity
+from .errors import AssignmentAmbiguity, ScanResolutionTooCoarse
 from .graph import Problem, validate
 from .trigpoly import AsymptoticFrame, build_frame
 
-# |d(0)| below this fraction of the scan scale marks rho = 0 as a root.
-ZERO_VALUE_TOL = 1e-9
 SCAN_POINTS_PER_PERIOD = 200
-# |rho - rho0| below the refiners' localization accuracy counts as exact.
+# |t - rho0| below the refiners' localization accuracy counts as exact.
 EPS_SNAP = 1e-9
-# Negative sweep roots with |lambda| below this belong to the lambda = 0
-# group, which the rho scan classifies.
-NEG_LAMBDA_MIN = 1e-12
 
 
 def _scan_step(frame: AsymptoticFrame) -> float:
@@ -46,85 +48,32 @@ def _scan_step(frame: AsymptoticFrame) -> float:
     return min(frame.tau / SCAN_POINTS_PER_PERIOD, math.pi / (8.0 * fmax))
 
 
-def _zero_root_multiplicity(d, step: float) -> int:
-    """Even rho-order of d at 0 by log-ratio of d on a shrinking stencil."""
-    v1, v2 = d(np.array([step / 2.0, step / 4.0])).tolist()
-    if v2 == 0.0 or v1 / v2 <= 0.0:
-        raise UnresolvedMultiplicity("cannot estimate the order of the zero at rho = 0")
-    est = math.log2(abs(v1 / v2))
-    mult = round(est)
-    if abs(est - mult) > 0.35 or mult < 2 or mult % 2:
-        raise UnresolvedMultiplicity(
-            f"order estimate {est:.3f} at rho = 0 is not a clean even integer"
-        )
-    return mult
-
-
 def find_eigenvalues(graph, problem: Problem, rho_max: float, frame: AsymptoticFrame | None = None):
-    """All zeros of d(rho) on [0, rho_max] as (rho, multiplicity) pairs.
+    """All eigenvalues up to rho_max^2 as signed roots (t, multiplicity),
+    ascending, with lambda = t |t|.
 
-    Multiplicity is the rho-order: sign-change roots are simple, tangential
-    roots double, and a root at rho = 0 carries its even order (twice the
-    lambda-multiplicity of the zero eigenvalue).
+    The scan grid runs with the same step from the floor t = -sqrt(max
+    sigma^2 + 1) up to 0 and from 0 up to rho_max (module docstring). The
+    multiplicity is the lambda-multiplicity: sign-change roots are simple,
+    tangential roots double, at lambda = 0 as anywhere else.
     """
     graph = validate(graph)
     problem.check(graph)
-    if rho_max <= 0:
-        return []
-    if frame is None:
-        frame = build_frame(graph, problem)
-
-    grid = []
-
-    def d(rho):
-        values = charfn_for(graph, problem, np.asarray(rho, dtype=float) ** 2)
-        if not grid:
-            grid.append(values)  # scan_roots evaluates its grid first, from rho = 0
-        return values
-
-    step = _scan_step(frame)
-    n_points = int(math.ceil(rho_max / step))
-    roots, scale = scan_roots(d, 0.0, rho_max, n_points)
-
-    out = []
-    margin = 1e-8 * max(1.0, rho_max)
-    if abs(grid[0][0]) <= ZERO_VALUE_TOL * scale:
-        out.append((0.0, _zero_root_multiplicity(d, step)))
-    for rho, mult in roots:
-        if rho <= margin:
-            continue  # the rho = 0 zero is classified above, in lambda terms
-        out.append((float(rho), mult))
-    return out
-
-
-def negative_eigenvalues(graph, problem: Problem, frame: AsymptoticFrame | None = None):
-    """Zeros of the characteristic function on [lam_floor, 0), ascending and
-    repeated by multiplicity, with lam_floor = -4 (1 + 2 max|sigma|)^2.
-
-    The sweep runs the same scan as find_eigenvalues, in kappa = sqrt(-lambda)
-    with the same step, so a tangential (double) negative eigenvalue is found
-    and listed twice. The characteristic function grows like
-    exp(kappa * total length); damping by that factor keeps the scan's
-    scale-relative thresholds meaningful across the whole range.
-    """
-    graph = validate(graph)
-    problem.check(graph)
-    lam_floor = -4.0 * (1.0 + 2.0 * graph.max_abs_sigma) ** 2
     if frame is None:
         frame = build_frame(graph, problem)
     total_length = sum(graph.edge_length(j) for j in range(graph.p + 1))
 
-    def d(kappa):
-        return charfn_for(graph, problem, -(kappa**2)) * np.exp(-kappa * total_length)
+    def d(t):
+        # Damped below zero only; where that overflows, it says nothing of a root.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = charfn_for(graph, problem, t * np.abs(t)) * np.exp(np.minimum(t, 0.0) * total_length)
+        return np.where(np.isfinite(values), values, np.nan)
 
-    kappa_max = math.sqrt(-lam_floor)
-    n_points = int(math.ceil(kappa_max / _scan_step(frame)))
-    roots, _ = scan_roots(d, 0.0, kappa_max, n_points)
-    lams = []
-    for kappa, mult in roots:
-        if kappa * kappa > NEG_LAMBDA_MIN:
-            lams.extend([-kappa * kappa] * mult)
-    return sorted(lams)
+    step = _scan_step(frame)
+    kappa_floor = math.sqrt(graph.max_abs_sigma**2 + 1.0)
+    below = np.linspace(0.0, kappa_floor, math.ceil(kappa_floor / step) + 1)
+    above = np.linspace(0.0, rho_max, math.ceil(rho_max / step) + 1)
+    return scan_roots(d, np.concatenate([-below[:0:-1], above]))
 
 
 class CatalogEntry(NamedTuple):
@@ -188,39 +137,30 @@ def catalog_spectrum(
     eigs,
     frame: AsymptoticFrame,
     rho_max: float,
-    negatives=(),
     problem_label: str = "L",
 ) -> SpectrumCatalog:
     """Bijectively assign roots (with multiplicity) to grid slots rho0 <= rho_max.
 
-    eigs must cover [0, rho_max + window]; negatives are lambda < 0 roots,
-    entering at rho = sqrt(max(lambda, 0)) = 0 toward the n = 0 zero-family
-    slots. Raises ScanResolutionTooCoarse on missing roots and
-    AssignmentAmbiguity when a root falls outside every window.
+    eigs are signed roots (t, multiplicity), lambda = t |t|, and must cover
+    the spectrum up to t = rho_max + window. A root is matched by
+    rho = max(t, 0): negative eigenvalues enter at rho = 0 toward the lowest
+    (n = 0 zero-family) slots. Raises ScanResolutionTooCoarse on missing
+    roots and AssignmentAmbiguity when a root falls outside every window.
     """
     k, n, rho0 = frame.slot_arrays(rho_max)
     window = frame.window()
 
-    root_rho, root_mult = np.array(list(zip(*eigs)), dtype=float).reshape(2, -1)
-    odd = root_mult[(root_rho == 0.0) & (root_mult % 2 == 1)]
-    if odd.size:
-        raise UnresolvedMultiplicity(f"odd rho-order {int(odd[0])} at rho = 0")
-    # Per root, as arrays: the rho it is matched by, its lambda, its root
-    # multiplicity and the slots it fills. A double negative eigenvalue is
-    # listed twice: it fills as many slots as its multiplicity. A zero of d
-    # of order 2m at rho = 0 is the lambda = 0 eigenvalue of multiplicity m.
-    neg_lam, neg_mult = np.array(list(zip(*Counter(negatives).items())), dtype=float).reshape(2, -1)
-    rho = np.concatenate([np.zeros(neg_lam.size), root_rho])
-    # C pow, bit for bit float(rho) ** 2 (rho * rho differs in the last bit now and then).
-    lam = np.concatenate([neg_lam, np.float_power(root_rho, 2)])
-    mult = np.concatenate([neg_mult, root_mult])
-    fills = np.concatenate([neg_mult, np.where(root_rho == 0.0, root_mult // 2, root_mult)])
-    order = np.lexsort((lam, rho))
-    rho, lam, mult = np.repeat(np.array([rho, lam, mult])[:, order], fills[order].astype(int), axis=1)
+    # Per slot, in order: the root's t, repeated by its multiplicity (a
+    # double eigenvalue fills two slots), then its rho and lambda.
+    t, mult = np.array(eigs, dtype=float).reshape(-1, 2).T
+    order = np.argsort(t, kind="stable")
+    t, mult = np.repeat(np.array([t, mult])[:, order], mult[order].astype(int), axis=1)
+    # C pow, bit for bit float(t) ** 2 (t * t differs in the last bit now and then).
+    rho, lam = np.maximum(t, 0.0), np.copysign(np.float_power(t, 2), t)
 
     if k.size:
         keep = rho <= rho0[-1] + window
-        rho, lam, mult = rho[keep], lam[keep], mult[keep]
+        t, rho, lam, mult = t[keep], rho[keep], lam[keep], mult[keep]
     if rho.size < k.size:
         raise ScanResolutionTooCoarse(
             f"found {rho.size} roots for {k.size} grid points on [0, {rho_max}]"
@@ -250,7 +190,7 @@ def catalog_spectrum(
             f"rho0 = {r0} (window {window:.3e})"
         )
     # Deviations below root-localization precision snap to the grid.
-    snap = pos & (dev <= EPS_SNAP)
+    snap = np.abs(t - rho0) <= EPS_SNAP
     np.copyto(rho, rho0, where=snap)
     np.copyto(lam, rho0 * rho0, where=snap)
     columns = (n, k, lam, rho, rho0, rho - rho0, mult.astype(int))
@@ -260,12 +200,11 @@ def catalog_spectrum(
 
 
 def compute_catalog(graph, problem: Problem, rho_max: float) -> SpectrumCatalog:
-    """Full pipeline: frame, scan with margin, negative sweep, assignment."""
+    """Full pipeline: frame, scan with margin, assignment."""
     graph = validate(graph)
     frame = build_frame(graph, problem)
     eigs = find_eigenvalues(graph, problem, rho_max + frame.window(), frame)
-    negs = negative_eigenvalues(graph, problem, frame=frame)
-    return catalog_spectrum(graph, eigs, frame, rho_max, negs, problem.label())
+    return catalog_spectrum(graph, eigs, frame, rho_max, problem.label())
 
 
 @dataclass(frozen=True)

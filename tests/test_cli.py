@@ -514,7 +514,7 @@ PUBLIC_NAMES = (
     "DiscreteOperator discretize richardson_eigs FundamentalSolution fundamental_solutions "
     "ReconstructionResult compare hadamard_reconstruct CatalogEntry SpectrumCatalog "
     "catalog_spectrum catalog_to_csv compute_catalog entries_from_csv epsilon_diagnostics "
-    "find_eigenvalues negative_eigenvalues AsymptoticFrame TrigPoly base_zeros build_frame "
+    "find_eigenvalues AsymptoticFrame TrigPoly base_zeros build_frame "
     "expand_free_charfn frame_to_json smallest_period __version__"
 ).split()
 

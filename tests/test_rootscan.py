@@ -41,7 +41,7 @@ def test_refiners_match_scipy(amps, phases, w0, touch_at):
             return (1.5 + trig(x) / sum(amps)) * np.sin(0.5 * (x - touch_at)) ** 2
 
     with mock.patch.object(_rootscan, "_roots_in", wraps=_rootscan._roots_in) as roots:
-        scan_roots(fn, 0.0, 20.0, 2000)
+        scan_roots(fn, np.linspace(0.0, 20.0, 2001))
     refined = [c.args for c in roots.call_args_list if c.args[1].size]
     if touch_at is None:
         assert refined  # sign-change brackets
@@ -80,7 +80,7 @@ def test_dips_in_one_cell(kind, cell, u1, u2, c, freq, phase):
         "clear": lambda x: (x - r1) ** 2 + c,
     }[kind]
 
-    roots, _ = scan_roots(lambda x: (1.0 + 0.5 * np.sin(freq * x + phase)) * quadratic(x), lo, hi, n)
+    roots = scan_roots(lambda x: (1.0 + 0.5 * np.sin(freq * x + phase)) * quadratic(x), np.linspace(lo, hi, n + 1))
     want = {"pair": [(r1, 1), (r2, 1)], "touch": [(r1, 2)], "clear": []}[kind]
     assert [m for _, m in roots] == [m for _, m in want]
     for (x, _), (x_want, _) in zip(roots, want):
@@ -98,7 +98,7 @@ def test_touch_next_to_a_crossing_in_its_stencil():
     r = 1.001
     q = r + 0.0128
 
-    roots, _ = scan_roots(lambda x: (x - r) ** 2 * (q - x), 0.0, 2.0, 200)
+    roots = scan_roots(lambda x: (x - r) ** 2 * (q - x), np.linspace(0.0, 2.0, 201))
     assert [m for _, m in roots] == [2, 1]
     assert abs(roots[0][0] - r) <= 2e-9 and abs(roots[1][0] - q) <= 1e-12
 
@@ -109,7 +109,9 @@ def test_shallow_split_pair_is_two_simple_roots():
     r1 = 1.0053
     r2 = r1 + 2e-6
 
-    roots, scale = scan_roots(lambda x: (x - r1) * (x - r2), 0.0, 2.0, 200)
+    xs = np.linspace(0.0, 2.0, 201)
+    roots = scan_roots(lambda x: (x - r1) * (x - r2), xs)
+    scale = np.max(np.abs((xs - r1) * (xs - r2)))
     assert (r2 - r1) ** 2 / 4.0 / scale == pytest.approx(1e-12, rel=0.02)
     assert [m for _, m in roots] == [1, 1]
     assert abs(roots[0][0] - r1) <= 1e-12 and abs(roots[1][0] - r2) <= 1e-12
@@ -245,7 +247,7 @@ def test_float_steps_match_scipy(bounds, w0, quotient):
 def test_catalogs_do_not_depend_on_the_float_steps(config, attractive_p3):
     # L and every Lj at the catalog benchmark's rho_max, where the main
     # refinement starts with hundreds of brackets and may hand over to float
-    # steps; the attractive p = 3 lasso's negative sweep and dips too. Each
+    # steps; the attractive p = 3 lasso's negative roots and dips too. Each
     # pass builds its own frame, whose base zeros are refined on float steps.
     graph = attractive_p3 if config == "attractive_p3" else graph_from_json(config)[0]
     for problem in [Problem.neumann()] + [Problem.dirichlet(j) for j in range(1, graph.p + 1)]:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -26,14 +27,13 @@ from lasso_spectra.spectrum import (
     entries_from_csv,
     epsilon_diagnostics,
     find_eigenvalues,
-    negative_eigenvalues,
 )
 from lasso_spectra.trigpoly import build_frame
 
 
 def test_find_eigenvalues_free_pi_lasso(pi_lasso):
     eigs = find_eigenvalues(pi_lasso, Problem.neumann(), 3.0)
-    want = [(0.0, 2), (0.5, 1), (2 / 3, 1), (4 / 3, 1), (1.5, 1), (2.0, 2), (2.5, 1), (8 / 3, 1)]
+    want = [(0.0, 1), (0.5, 1), (2 / 3, 1), (4 / 3, 1), (1.5, 1), (2.0, 2), (2.5, 1), (8 / 3, 1)]
     assert len(eigs) == len(want)
     for (rho, mult), (rho_w, mult_w) in zip(eigs, want):
         assert abs(rho - rho_w) < 1e-9
@@ -41,7 +41,9 @@ def test_find_eigenvalues_free_pi_lasso(pi_lasso):
 
 
 def test_find_eigenvalues_empty_range(pi_lasso):
-    assert find_eigenvalues(pi_lasso, Problem.neumann(), 0.0) == []
+    # rho_max 0 leaves the scan from the lambda floor up to 0, where the
+    # constant eigenfunction of the free problem sits: a simple eigenvalue.
+    assert find_eigenvalues(pi_lasso, Problem.neumann(), 0.0) == [(0.0, 1)]
 
 
 def test_cycle_tangential_zeros(pi_lasso):
@@ -50,21 +52,21 @@ def test_cycle_tangential_zeros(pi_lasso):
         f0 = fundamental_solutions(pi_lasso.segments[0], np.asarray(rho) ** 2)
         return f0.C + f0.S1 - 2.0
 
-    roots, _ = scan_roots(cycle, 0.5, 6.5, 1200)
+    roots = scan_roots(cycle, np.linspace(0.5, 6.5, 1201))
     assert [(round(r, 9), m) for r, m in roots] == [(2.0, 2), (4.0, 2), (6.0, 2)]
 
 
 def test_close_root_pair_below_zero():
     # Two roots 2e-3 apart inside one stencil of a function negative on the
     # grid: the refined minimum changes sign, so both roots are reported.
-    roots, _ = scan_roots(lambda x: 1e-6 - (x - 1) ** 2, 0.005, 2.0, 150)
+    roots = scan_roots(lambda x: 1e-6 - (x - 1) ** 2, np.linspace(0.005, 2.0, 151))
     assert [m for _, m in roots] == [1, 1]
     assert abs(roots[0][0] - 0.999) < 1e-12 and abs(roots[1][0] - 1.001) < 1e-12
 
 
 def test_negative_dip_without_root():
     # The same dip that stops short of zero is no root at all.
-    roots, _ = scan_roots(lambda x: -((x - 1) ** 2) - 1e-6, 0.005, 2.0, 150)
+    roots = scan_roots(lambda x: -((x - 1) ** 2) - 1e-6, np.linspace(0.005, 2.0, 151))
     assert roots == []
 
 
@@ -78,7 +80,7 @@ def test_grid_hit_and_touch_merge():
         return (x - d) * (x - a) * (x - b) ** 2 * (x - c)
 
     assert f(a) == 0.0
-    roots, _ = scan_roots(f, 0.0, 1e-8, 100)
+    roots = scan_roots(f, xs)
     assert [m for _, m in roots] == [1, 2, 1]
     assert [r for r, _ in roots] == sorted(r for r, _ in roots)
     assert roots[1][0] == a
@@ -119,9 +121,9 @@ def test_delta_catalog_rouche_window(delta_lasso):
 
 
 def test_delta_catalog_has_negative_bottom_eigenvalue(delta_lasso):
-    negs = negative_eigenvalues(delta_lasso, Problem.neumann())
-    assert len(negs) == 1
-    assert -0.05 < negs[0] < -0.01
+    negs = [(t, mult) for t, mult in find_eigenvalues(delta_lasso, Problem.neumann(), 6.0) if t < 0.0]
+    assert len(negs) == 1 and negs[0][1] == 1
+    assert -0.05 < -negs[0][0] ** 2 < -0.01
     cat = compute_catalog(delta_lasso, Problem.neumann(), 6.0)
     bottom = min(cat.entries, key=lambda e: e.lam)
     assert bottom.n == 0 and bottom.k == 0
@@ -133,7 +135,7 @@ def test_delta_catalog_has_negative_bottom_eigenvalue(delta_lasso):
 )
 def test_double_negative_eigenvalue(attractive_p3, problem):
     # Strong symmetric attraction pulls two equal pendant modes below zero
-    # together: the negative sweep must count the touch twice.
+    # together: the scan must count the touch twice.
     cat = compute_catalog(attractive_p3, problem, 203.0)
     assert len(cat.entries) == len(cat.frame.slots(203.0))
     lowest = cat.lambdas()[:3]
@@ -229,11 +231,11 @@ def _assign_frame(gi, problem):
 
 @st.composite
 def _assignment_inputs(draw):
-    """Roots built around the grid: each rho0 group moved by a few window
-    fractions or by less than EPS_SNAP, as one multiple root or as separate
-    ones; the zero group as an even (or odd) rho-order and negative
-    eigenvalues, single or repeated; now and then one root dropped or one
-    root added."""
+    """Signed roots built around the grid: each rho0 group moved by a few
+    window fractions or by less than EPS_SNAP, as one multiple root or as
+    separate ones, the zero group too (moved below zero, its t is negative);
+    negative eigenvalues, single or repeated, in the lowest slots; now and
+    then one root dropped or one root added."""
     gi = draw(st.integers(0, len(_ASSIGN_GRAPHS) - 1))
     problem = draw(st.sampled_from([Problem.neumann(), Problem.dirichlet(1)]))
     frame = _assign_frame(gi, problem)
@@ -244,16 +246,12 @@ def _assignment_inputs(draw):
     slots = frame.slots(rho_max + window)
     sizes = [(rho0, len(list(g))) for rho0, g in itertools.groupby(slots, key=lambda s: s[2])]
     below = draw(st.integers(0, min(3, len(slots))))  # the lowest slots taken by lambda < 0
-    negatives = draw(st.lists(st.sampled_from([-0.25, -1.5]), min_size=below, max_size=below))
-    eigs = []
+    negatives = draw(st.lists(st.sampled_from([-0.5, -1.25]), min_size=below, max_size=below))
+    eigs = [(t, len(list(run))) for t, run in itertools.groupby(sorted(negatives))]
     for rho0, size in sizes:
         taken = min(below, size)
         below, size = below - taken, size - taken
-        if rho0 == 0.0:
-            order = 2 * size + draw(st.sampled_from([0, 0, 0, 1]))
-            if order:
-                eigs.append((0.0, order))
-        elif size and draw(st.booleans()):
+        if size and draw(st.booleans()):
             eigs.append((rho0 + draw(moves) * window, size))
         else:
             eigs += [(rho0 + draw(moves) * window, 1) for _ in range(size)]
@@ -263,13 +261,13 @@ def _assignment_inputs(draw):
     elif change == "add":
         eigs.append((draw(st.floats(0.01, rho_max + 0.01)), 1))
     eigs.sort()
-    return _ASSIGN_GRAPHS[gi], eigs, frame, rho_max, negatives
+    return _ASSIGN_GRAPHS[gi], eigs, frame, rho_max
 
 
 @settings(max_examples=150, deadline=None)
 @given(inputs=_assignment_inputs())
 def test_catalog_assignment_matches_the_per_entry_loop(inputs):
-    graph, eigs, frame, rho_max, negatives = inputs
+    graph, eigs, frame, rho_max = inputs
 
     def outcome(assign):
         try:
@@ -278,9 +276,9 @@ def test_catalog_assignment_matches_the_per_entry_loop(inputs):
             return type(exc), str(exc)
 
     want = outcome(
-        lambda: catalog_reference.catalog_entries(graph, eigs, frame, rho_max, negatives)
+        lambda: catalog_reference.catalog_entries(graph, eigs, frame, rho_max)
     )
-    got = outcome(lambda: catalog_spectrum(graph, eigs, frame, rho_max, negatives))
+    got = outcome(lambda: catalog_spectrum(graph, eigs, frame, rho_max))
     if not isinstance(got, tuple):
         # The columns handed over equal those a catalog derives from its entries.
         derived = SpectrumCatalog(got.entries, frame, rho_max).columns
@@ -291,19 +289,34 @@ def test_catalog_assignment_matches_the_per_entry_loop(inputs):
 
 
 def test_scan_makes_a_fixed_number_of_vector_calls():
-    # The grid, the dips' difference quotients and their refinement, fn at
-    # the argmins, then one seeded pass over every crossing and split dip:
-    # 11 vector calls on this config. Refining crossings and pairs apart,
-    # each pass evaluating its bracket ends, takes 15. The zero root at
-    # rho = 0 adds one call, its two-point stencil (d(0) is the grid's first
-    # value); it took three scalar calls.
+    # One scan from the lambda floor for the whole catalog: the grid, the
+    # dips' difference quotients and their refinement, fn at the argmins,
+    # then one seeded pass over every crossing and split dip, 13 vector calls
+    # on this config. A separate negative sweep and an order estimate at
+    # rho = 0 took 15.
     path = Path(__file__).resolve().parents[1] / "configs" / "lasso_triple.json"
     graph = graph_from_json(path)[0]
     with mock.patch.object(spectrum, "charfn_for", wraps=spectrum.charfn_for) as calls:
-        roots = find_eigenvalues(graph, Problem.neumann(), 60.0)
-    assert len(roots) == 150 and roots[0] == (0.0, 2)
+        cat = compute_catalog(graph, Problem.neumann(), 60.0)
+    assert len(cat.entries) == 241 and cat.entries[0] == (0, 0, 0.0, 0.0, 0.0, 0.0, 1)
     shapes = [np.shape(c.args[2]) for c in calls.call_args_list]
-    assert len(shapes) <= 12 and () not in shapes
+    assert len(shapes) <= 14 and () not in shapes
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_multiplicity_is_the_count_of_entries_sharing_lambda(path):
+    # Every entry's multiplicity is its lambda-multiplicity, lambda = 0
+    # included: the free L catalogs listed their simple lambda = 0 with the
+    # rho-order 2 of d(rho^2) at rho = 0.
+    graph = graph_from_json(path)[0]
+    for problem in [Problem.neumann()] + [Problem.dirichlet(j) for j in range(1, graph.p + 1)]:
+        cat = compute_catalog(graph, problem, 60.0)
+        shared = Counter(e.lam for e in cat.entries)
+        wrong = [e for e in cat.entries if e.multiplicity != shared[e.lam]]
+        assert not wrong, (problem.label(), wrong[:3])
 
 
 
@@ -404,9 +417,6 @@ def test_split_pair_in_the_sweep():
 @pytest.mark.parametrize(
     "problem, mid, hi", [(Problem.neumann(), 9.01, 9.03), (Problem.dirichlet(1), 9.02, 9.04)], ids=["L", "L1"]
 )
-# The negative sweep overflows at these strengths (ROADMAP, the overflow-free
-# count); this test is about the scan above zero.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::lasso_spectra.errors.HalfPeriodZeroWarning")
 def test_split_pair_with_strong_deltas(problem, mid, hi):
     # Lasso 33 of the strong class (ROADMAP): |d| reaches 1e-2 between the
