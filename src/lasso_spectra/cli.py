@@ -7,12 +7,9 @@ Each command imports the modules it uses when it runs, so `charfn` loads
 neither the root scan nor the frame, the reconstruction or the oracle.
 
 Floats are written in shortest round-trip form (`repr`), in CSV rows or, for
-`charfn --format json`, in JSON arrays. Most of a large grid's run is that
-formatting, so float_csv and float_json split a grid of at least
-2 * MIN_ROWS_PER_PART rows into contiguous parts, up to one per usable CPU,
-and format all but the first in forked children. The parent joins the parts
-in order and formats any part a child failed to deliver itself: the bytes are
-those of a one-CPU run.
+`charfn --format json`, in JSON arrays. float_csv and float_json produce
+repr's bytes with numpy array operations (_floattext), on up to one thread per
+usable CPU: the bytes are those of a one-CPU run.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +52,9 @@ NUMERIC_ERRORS = (
     FloatingPointError,
     OverflowError,
 )
-# The most points a command-line grid may have: 80 MB of lambda, and several
-# times that in the evaluation's temporaries and the CSV text.
+# The most points a command-line grid may have: 80 MB of lambda, several times
+# that in the evaluation's temporaries, and up to 25 bytes of output text per
+# value, in two or three copies while the output is joined.
 GRID_MAX_POINTS = 10_000_000
 
 
@@ -114,114 +111,30 @@ def _problem_from_args(args, graph) -> Problem:
     return problem
 
 
-# The fewest rows worth a forked part. A fork costs 1.2-1.5 ms and its child
-# starts 2-3 ms after it; 10,000 rows take about 12 ms to format. On 2 cores,
-# 2 parts lost 1.5 ms at 10,000 rows and saved 3.4 ms at 14,000 and 6.4 ms
-# at 20,000 (medians of 41).
-MIN_ROWS_PER_PART = 10_000
-
-
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _format_rows(columns: list[list[float]], start: int, stop: int) -> bytes:
-    """Rows start:stop of the columns, each float in shortest round-trip form."""
-    row = ",".join(["%r"] * len(columns)) + "\n"
-    return "".join([row % values for values in zip(*(c[start:stop] for c in columns))]).encode()
-
-
-def _format_items(columns: list[list[float]], start: int, stop: int) -> bytes:
-    """Items start:stop of each column as JSON array text (reprs joined by
-    ", "), one line per column."""
-    return "\n".join([", ".join(map(repr, c[start:stop])) for c in columns]).encode()
-
-
-def _fork_part(format_part, start: int, stop: int):
-    """A child writing format_part(start, stop) into a pipe: (pid, read end),
-    or None if it could not be started."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # numpy's BLAS threads make Python 3.12+ warn that the child may
-            # deadlock. The child touches only lists and str, and it leaves
-            # through os._exit.
-            warnings.filterwarnings(
-                "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            data = format_part(start, stop)
-            with open(write_end, "wb") as pipe:
-                pipe.write(len(data).to_bytes(8, "little") + data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _collect(pid: int, read_end: int) -> bytes | None:
-    """A child's part, or None if it failed or delivered short data."""
-    with open(read_end, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    size = int.from_bytes(data[:8], "little")
-    if os.waitstatus_to_exitcode(status) != 0 or len(data) != 8 + size:
-        return None
-    return data[8:]
-
-
-def _in_parts(format_part, rows: int) -> list[bytes]:
-    """format_part(start, stop) over contiguous parts of range(rows), in
-    order: up to one part per usable CPU, at least MIN_ROWS_PER_PART rows
-    each, all but the first formatted in forked children. The parent formats
-    any part a child failed to deliver itself."""
-    parts = max(1, min(_usable_cpus(), rows // MIN_ROWS_PER_PART))
-    bounds = [rows * i // parts for i in range(parts + 1)]
-    children = [_fork_part(format_part, bounds[i], bounds[i + 1]) for i in range(1, parts)]
-    try:
-        first = format_part(0, bounds[1])
-    finally:
-        delivered = [_collect(*child) if child else None for child in children]
-    rest = [
-        data if data is not None else format_part(start, stop)
-        for data, start, stop in zip(delivered, bounds[1:], bounds[2:])
-    ]
-    return [first, *rest]
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def float_csv(header: str, *columns) -> bytes:
     """The header and one row per index of the float columns, each value in
-    shortest round-trip form (repr), formatted in parts (_in_parts): the
-    bytes do not depend on the part count."""
-    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
-    parts = _in_parts(partial(_format_rows, columns), len(columns[0]))
-    return b"".join([(header + "\n").encode(), *parts])
+    shortest round-trip form (repr). The bytes do not depend on the number
+    of threads that format them."""
+    from . import _floattext
+
+    return (header + "\n").encode() + _floattext.rows(columns, b",", b"\n", _usable_cpus())
 
 
 def float_json(names, *columns) -> bytes:
     """json.dumps({name: column.tolist(), ...}) + "\n" for finite float
-    columns of equal length, the number text formatted in parts (_in_parts)
-    as float_csv's is: the bytes do not depend on the part count."""
-    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
-    parts = [part.split(b"\n") for part in _in_parts(partial(_format_items, columns), len(columns[0]))]
+    columns of equal length, the number text formatted as float_csv's is."""
+    from . import _floattext
+
     arrays = [
-        json.dumps(name).encode() + b": [" + b", ".join(texts) + b"]"
-        for name, texts in zip(names, zip(*parts))
+        json.dumps(name).encode() + b": [" + _floattext.rows([column], b",", b", ", _usable_cpus())[:-2] + b"]"
+        for name, column in zip(names, columns)
     ]
     return b"{" + b", ".join(arrays) + b"}\n"
 

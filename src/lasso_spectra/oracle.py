@@ -344,13 +344,19 @@ class _Chain:
             inv = e / r  # q_(-1)
             if u > 0.0 and v > 0.0:
                 # q_j ~ sin(j theta + phi), phi in [0, pi): a pivot is negative
-                # where the phase passes a multiple of pi.
-                theta = math.atan2(2.0 * math.sqrt(u * v), v - u)
-                before = (m - 1) * theta + math.atan2(math.sin(theta), math.cos(theta) - inv)
-                changes = math.floor((before + theta) / math.pi)
-                last = changes > math.floor(before / math.pi)
-                den = math.sin(before)
-                rho = math.sin(before + theta) / den if den else math.inf
+                # where the phase passes a multiple of pi. Each angle is kept as
+                # a multiple of pi plus a remainder in [-pi/2, pi/2], each from
+                # its own atan2, so that near a band edge (theta or phi near pi)
+                # the count is not decided by a sum rounded at the level of pi.
+                s, x = 2.0 * math.sqrt(u * v), v - u  # sin theta, cos theta
+                a, t = (0, math.atan2(s, x)) if x >= 0.0 else (1, -math.atan2(s, -x))
+                b, f = (0, math.atan2(s, x - inv)) if x >= inv else (1, -math.atan2(s, inv - x))
+                # before = (m - 1) theta + phi, and before + theta.
+                turns, rest = (m - 1) * a + b, (m - 1) * t + f
+                changes = turns + a + math.floor((rest + t) / math.pi)
+                last = changes > turns + math.floor(rest / math.pi)
+                den = math.sin(rest)
+                rho = (-1.0 if a else 1.0) * math.sin(rest + t) / den if den else math.inf
             else:
                 # Below the band; above it, (-1)^j q_j is below the mirrored one.
                 flip = v <= 0.0
@@ -375,13 +381,15 @@ class _Chain:
             return int(end < 0.0), end < 0.0 <= before, end / before if before else math.inf
         theta = math.asinh(sinh)
         grow = math.exp(theta)
-        a = (grow - inv) / (2.0 * sinh)  # q_j = a exp(j theta) + (1 - a) exp(-j theta)
+        a = (math.expm1(theta) + (1.0 - inv)) / (2.0 * sinh)  # q_j = a exp(j theta) + (1 - a) exp(-j theta)
         if a == 0.0:
             return 0, False, 1.0 / grow
         # With a < 0, q_j decreases from 1 and changes sign where 2 j theta passes crossing.
-        crossing = math.log((a - 1.0) / a) if a < 0.0 else math.inf
-        before = a + (1.0 - a) * math.exp(-2.0 * (m - 1) * theta)
-        rho = grow * (a + (1.0 - a) * math.exp(-2.0 * m * theta)) / before if before else math.inf
+        crossing = math.log1p(-1.0 / a) if a < 0.0 else math.inf
+        # exp(j theta) q_j = 1 + (a - 1)(1 - exp(-2 j theta)): near the band edge a ~ 1 / theta,
+        # and a + (1 - a) exp(-2 j theta) would cancel to ~theta relative.
+        before = 1.0 - (a - 1.0) * math.expm1(-2.0 * (m - 1) * theta)
+        rho = grow * (1.0 - (a - 1.0) * math.expm1(-2.0 * m * theta)) / before if before else math.inf
         turns = 2.0 * m * theta
         return int(turns > crossing), turns - 2.0 * theta <= crossing < turns, rho
 

@@ -118,17 +118,36 @@ def charfn(graph, j: int, lam):
     return assemble([fundamental_solutions(segs, lam, phis) for segs in graph.segments], j)
 
 
+def _abs(m: StateMatrix) -> StateMatrix:
+    return StateMatrix(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
+
+
 def magnitude(graph, j: int, lam):
     """The scale of the rounding of assemble on the step products: its
     polynomial with every term taken in absolute value, on the products of
-    the step matrices taken entry by entry in absolute value."""
+    the step matrices taken entry by entry in absolute value. A length that
+    the plan derives by the group law (compile_sums) rounds at the scale of
+    its summands' product, so its step is the product of theirs, each in
+    absolute value: near a zero of cos or sin its own entries are no scale."""
     lam = _lam_value(lam)
+    plan = graph.plan
+    summands = {k: (i, i2) for k, i, i2 in plan.sums}
+    steps = {}
+
+    def abs_step(sigma: float, k: int) -> StateMatrix:
+        if (sigma, k) not in steps:
+            if k in summands:
+                i, i2 = summands[k]
+                steps[sigma, k] = abs_step(sigma, i) @ abs_step(sigma, i2)
+            else:
+                steps[sigma, k] = _abs(step_matrix(sigma, plan.lengths[k], lam))
+        return steps[sigma, k]
+
     fs = []
-    for segs in graph.segments:
+    for edge in plan.steps:
         m = None
-        for sigma, h in segs:
-            step = step_matrix(sigma, h, lam)
-            step = StateMatrix(abs(step.a), abs(step.b), abs(step.c), abs(step.d))
+        for sigma, k in edge:
+            step = abs_step(sigma, k)
             m = step if m is None else step @ m
         fs.append(FundamentalSolution(C=m.a, C1=m.c, S=m.b, S1=m.d))
     return term_scale(fs, j)

@@ -6,7 +6,7 @@ import numpy as np
 import propagate_reference
 import pytest
 from free_reference import free_charfn, free_charfn_dirichlet
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lasso_spectra import charfn
@@ -247,6 +247,17 @@ _LAMBDAS = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(graph=_lassos(), lams=_LAMBDAS)
+# The pendant length pi/4 = pi/32 + 7pi/32 is derived; at lambda = 4 its cos
+# is 6e-17, which is no scale for the rounding of the group law.
+@example(
+    graph=lasso_graph(
+        Fraction(1, 4),
+        [Fraction(1, 4), Fraction(1, 4)],
+        potentials=[PotentialSpec((0, Fraction(1, 32), Fraction(1, 4)), (0.0, 0.0)), None, None],
+        length_unit="pi",
+    ),
+    lams=[4.0],
+)
 def test_compiled_evaluation_matches_segment_products(graph, lams):
     """L and every Lj equal assemble on the per-segment step products where
     those are finite (byte for byte where the plan derives no length, else

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lasso_spectra import checks, cli
+from lasso_spectra import _floattext, checks, cli
 from lasso_spectra.charfn import charfn_for
 from lasso_spectra.cli import main, parse_grid
 from lasso_spectra.errors import WindowViolationWarning
@@ -495,8 +496,8 @@ def test_charfn_loads_no_scipy(tmp_path):
 
 
 def test_charfn_loads_only_what_it_evaluates(tmp_path):
-    # A grid of 3 * MIN_ROWS_PER_PART rows: formatted in parts where the
-    # machine has more than one CPU, with no process pool.
+    # A grid of 30,001 rows: formatted in parts where the machine has more
+    # than one CPU, with no process pool.
     code, loaded = _cli_in_fresh_process(
         tmp_path, "charfn", "--config", DELTA, "--rho=0:30:0.001", "--out", str(tmp_path / "c.csv"),
         packages=("lasso_spectra", "multiprocessing", "concurrent"),
@@ -581,10 +582,18 @@ def test_oracle_and_verify_run_on_numpy_alone(tmp_path):
 
 
 # Values whose repr the CSV must keep: non-finite, signed zero, subnormal,
-# the largest float, and the switch points of repr's exponent notation.
+# the largest float, and each layout switch of the array formatter (see
+# lasso_spectra._floattext): the normal/subnormal boundary, 2^53 and the
+# integers past it, 1e22 (the last exact power of ten) and its neighbours,
+# 17-digit values, the switches of repr's exponent notation, and both sides
+# of 1e-280 and 1e280, outside which repr formats the value itself.
 SPECIAL_FLOATS = [
     float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-5,
     1.7976931348623157e308, 0.1, -2.5e-7, 123456789.123,
+    2.2250738585072014e-308, 2.225073858507201e-308, 2.0**53, 2.0**53 + 2,
+    1e22, 1e23, 9.999999999999999e22, 0.30000000000000004, 9999999999999998.0,
+    1e-4, 1e15, 1.0000000000000001e-280, 1e-280, 9.999999999999999e279, 1e280,
+    -1.0000000000000002e280,
 ]
 
 
@@ -603,72 +612,69 @@ def _columns(rows, width):
     return np.where(rng.random(cells.size) < 0.5, cells, drawn).reshape(width, rows)
 
 
-def _count_forks(monkeypatch):
-    forks, real_fork = [], os.fork
+def _count_parts(monkeypatch, cpus):
+    """Format in blocks of 40 rows with cpus usable CPUs; the list of parts
+    each formatting call ran in, appended as it runs."""
+    monkeypatch.setattr(_floattext, "BLOCK_ROWS", 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    parts, part = [], _floattext._part
 
-    def counting_fork():
-        forks.append(None)
-        return real_fork()
+    def counting_part(*args):
+        parts.append(threading.current_thread())
+        return part(*args)
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
+    monkeypatch.setattr(_floattext, "_part", counting_part)
+    return parts
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("rows", ["0", "1", "min-1", "min", "2min+1"])
 def test_float_csv_is_the_row_loop_csv(monkeypatch, cpus, rows):
-    # In parts or not, the bytes are those of the per-row f-strings.
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 40)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks = _count_forks(monkeypatch)
+    # In parts or not, the bytes are those of the per-row f-strings; "min"
+    # is one block of rows.
+    parts = _count_parts(monkeypatch, cpus)
     n = {"0": 0, "1": 1, "min-1": 39, "min": 40, "2min+1": 81}[rows]
     for width, header in ((2, "rho,delta"), (4, "lambda,delta_hat,delta_direct,rel_error")):
         columns = _columns(n, width)
         assert cli.float_csv(header, *columns) == _row_loop_csv(header, *columns)
-    assert len(forks) == 2 * (max(1, min(cpus, n // 40)) - 1)
+    per_call = max(1, min(cpus, -(-n // 40)))
+    assert len(parts) == 2 * per_call
+    assert len(set(parts)) == 1 + 2 * (per_call - 1)  # the caller's thread, and one per other part
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("rows", ["0", "1", "min", "2min-1", "2min", "3min+1"])
 def test_float_json_is_json_dumps(monkeypatch, cpus, rows):
     # In parts or not, the bytes are those of one json.dumps of the lists.
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 40)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks = _count_forks(monkeypatch)
+    parts = _count_parts(monkeypatch, cpus)
     n = {"0": 0, "1": 1, "min": 40, "2min-1": 79, "2min": 80, "3min+1": 121}[rows]
     columns = _columns(n, 2)
     grid, values = np.where(np.isfinite(columns), columns, 0.5)  # JSON has no nan or inf
     want = (json.dumps({"rho": grid.tolist(), "delta": values.tolist()}) + "\n").encode()
     assert cli.float_json(("rho", "delta"), grid, values) == want
-    assert len(forks) == max(1, min(cpus, n // 40)) - 1
+    assert len(parts) == 2 * max(1, min(cpus, -(-n // 40)))  # a call per column
 
 
-def test_float_json_does_not_depend_on_a_child(monkeypatch):
-    # A child that fails leaves its part to the parent: the same bytes.
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 40)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    parent, format_items = os.getpid(), cli._format_items
+def test_float_csv_raises_what_a_thread_raised(monkeypatch):
+    # A part that fails on its own thread fails the call: no block is left out.
+    _count_parts(monkeypatch, 3)
+    block = _floattext._block
 
-    def failing_in_a_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child failed")
-        return format_items(*args)
+    def failing_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no room for a block")
+        return block(*args)
 
-    monkeypatch.setattr(cli, "_format_items", failing_in_a_child)
-    forks = _count_forks(monkeypatch)
-    lam, values = np.linspace(-4.0, 9.0, 200), np.sin(np.linspace(0.0, 30.0, 200))
-    want = (json.dumps({"lambda": lam.tolist(), "delta": values.tolist()}) + "\n").encode()
-    assert cli.float_json(("lambda", "delta"), lam, values) == want
-    assert len(forks) == 2
+    monkeypatch.setattr(_floattext, "_block", failing_off_the_main_thread)
+    with pytest.raises(MemoryError, match="no room"):
+        cli.float_csv("x,y", *_columns(200, 2))
 
 
 def test_charfn_json_is_json_dumps(capsys, monkeypatch):
     # charfn --format json in three parts writes the bytes of one json.dumps.
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 50)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    forks = _count_forks(monkeypatch)
+    parts = _count_parts(monkeypatch, 3)
     code, out, err = run(capsys, "charfn", "--config", DELTA, "--rho=0:3:0.01", "--format", "json")
-    assert code == 0 and err == "" and len(forks) == 2
+    assert code == 0 and err == "" and len(parts) == 2 * 3
     graph, _ = graph_from_json(DELTA)
     rho = 0.0 + 0.01 * np.arange(301)
     values = charfn_for(graph, Problem.neumann(), rho * rho)
@@ -709,11 +715,9 @@ def test_cli_csv_is_the_row_loop_csv(tmp_path, capsys, monkeypatch):
     from lasso_spectra.reconstruct import compare, hadamard_reconstruct
     from lasso_spectra.spectrum import SpectrumCatalog, build_frame, entries_from_csv
 
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 50)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    forks = _count_forks(monkeypatch)
+    parts = _count_parts(monkeypatch, 3)
     out = _charfn_and_reconstruct(tmp_path, capsys)
-    assert len(forks) == 4 * 2 * 2  # 4 runs of 200-301 rows, 2 outputs each, 3 parts
+    assert len(parts) == 4 * 2 * 3  # 4 runs of 200-301 rows, 2 outputs each, 3 parts
 
     graph, _ = graph_from_json(DELTA)
     rho = 0.0 + 0.01 * np.arange(301)
@@ -735,67 +739,16 @@ def test_cli_csv_is_the_row_loop_csv(tmp_path, capsys, monkeypatch):
         assert out[name] == out[name + "-out"] == data, name
 
 
-def test_cli_csv_does_not_depend_on_a_child(tmp_path, capsys, monkeypatch):
-    # A child that fails, or a fork that fails, leaves its part to the
-    # parent: the same bytes, exit 0 and nothing on stderr.
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 50)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    want = _charfn_and_reconstruct(tmp_path, capsys)
-
-    parent, format_rows = os.getpid(), cli._format_rows
-
-    def failing_in_a_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child failed")
-        return format_rows(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_format_rows", failing_in_a_child)
-        assert _charfn_and_reconstruct(tmp_path, capsys) == want
-
-    def failing_fork():
-        raise OSError("no more processes")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "fork", failing_fork)
-        assert _charfn_and_reconstruct(tmp_path, capsys) == want
-    assert capsys.readouterr().err == ""
-
-
-def test_fork_warning_is_filtered(monkeypatch):
-    # Python 3.12+ warns at a fork of a process with threads, as numpy's BLAS
-    # starts; that warning is filtered, and no other is issued.
-    real_fork = os.fork
-
-    def warning_fork():
-        warnings.warn(
-            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
-            "deadlocks in the child.",
-            DeprecationWarning,
-        )
-        return real_fork()
-
-    monkeypatch.setattr(cli, "MIN_ROWS_PER_PART", 10)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", warning_fork)
-    columns = _columns(30, 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.float_csv("x,y", *columns) == _row_loop_csv("x,y", *columns)
-    assert caught == []
-
-
 def test_forked_csv_writes_nothing_to_stderr():
-    # With every warning an error, and DeprecationWarnings shown (CPython
-    # clears the fork warning rather than raise it), a run in parts writes
-    # its CSV and nothing to stderr. Two CPUs are forced, so it forks here
-    # whatever the machine.
+    # With every warning an error, a run formatted in parts on threads writes
+    # its CSV and nothing to stderr. Two CPUs and blocks of 100 rows are
+    # forced, so it runs in two parts whatever the machine.
     proc = _python(
-        "-W", "error", "-W", "always::DeprecationWarning", "-c",
+        "-W", "error", "-c",
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "from lasso_spectra import cli\n"
-        "cli.MIN_ROWS_PER_PART = 100\n"
+        "from lasso_spectra import _floattext, cli\n"
+        "_floattext.BLOCK_ROWS = 100\n"
         f"sys.exit(cli.main(['charfn', '--config', {DELTA!r}, '--rho=0:5:0.01']))\n",
     )
     assert proc.returncode == 0 and proc.stderr == ""
